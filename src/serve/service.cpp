@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "common/jsonfmt.hpp"
@@ -141,15 +143,11 @@ AssessmentService::AssessmentService(const ServiceOptions& options)
     journal_ = std::make_unique<Journal>(options_.journal_path, jopts);
     next_seq_ = journal_->recovered().next_seq;
     // Re-execute the admitted-but-uncommitted suffix synchronously, before
-    // any worker exists: the regenerated responses land in the journal with
-    // their original sequence numbers, byte-identical to what the crashed
-    // process would have produced (responses are a pure function of request
-    // text, seq and options).
+    // any request can be admitted: the regenerated responses land in the
+    // journal with their original sequence numbers, byte-identical to what
+    // the crashed process would have produced (responses are a pure
+    // function of request text, seq and options).
     recover_journal();
-  }
-  workers_.reserve(options_.workers);
-  for (unsigned i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -159,7 +157,7 @@ void AssessmentService::recover_journal() {
     Task task;
     task.seq = entry.seq;
     task.text = entry.request;
-    task.enqueued = std::chrono::steady_clock::now();
+    task.admitted = std::chrono::steady_clock::now();
     // Recovery is observability-quiet: no trace (the original timings are
     // gone with the crashed process) — only the recovered counters move.
     Outcome outcome = process(task, nullptr);
@@ -179,104 +177,89 @@ void AssessmentService::recover_journal() {
 }
 
 AssessmentService::~AssessmentService() {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
+  std::unique_lock<std::mutex> lk(m_);
+  draining_ = true;
+  drained_cv_.wait(lk, [&] { return in_flight_ == 0; });
 }
 
-std::future<std::string> AssessmentService::submit(std::string request_text) {
-  std::promise<std::string> promise;
-  std::future<std::string> fut = promise.get_future();
-  // Probes bypass admission entirely: no sequence number, no queue slot, no
+bool AssessmentService::admit(const std::string& request_text, Task& task,
+                              std::string& answer) {
+  // Probes bypass admission entirely: no sequence number, no slot, no
   // journal record — a readiness check or a metrics scrape must not perturb
   // the deterministic request stream.
   const ProbeKind probe = probe_kind(request_text);
-  if (probe != ProbeKind::None) {
-    std::string response;
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      if (probe == ProbeKind::Health) {
-        ++stats_.health;
-        ServiceMetrics::instance().health_probes.add();
-        response = health_response();
-      } else {
-        ++stats_.stats_probes;
-        ServiceMetrics::instance().stats_probes.add();
-        response = stats_response();
-      }
-    }
-    promise.set_value(std::move(response));
-    return fut;
+  std::lock_guard<std::mutex> lk(m_);
+  if (probe == ProbeKind::Health) {
+    ++stats_.health;
+    ServiceMetrics::instance().health_probes.add();
+    answer = health_response();
+    return false;
   }
-  bool refused = false;
+  if (probe == ProbeKind::Stats) {
+    ++stats_.stats_probes;
+    ServiceMetrics::instance().stats_probes.add();
+    answer = stats_response();
+    return false;
+  }
   ErrorCode refusal_code = ErrorCode::Overload;
   std::string refusal;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    if (stopping_) {
-      refused = true;
-      refusal = "service is shutting down";
-    } else if (draining_) {
-      refused = true;
-      refusal = "service is draining; retry against another instance or later";
-      ++stats_.overloaded;
-      ServiceMetrics::instance().overloaded.add();
-    } else if (queue_.size() + running_ >= options_.queue_limit) {
-      refused = true;
-      refusal = "service overloaded; retry later";
-      ++stats_.overloaded;
-      ServiceMetrics::instance().overloaded.add();
-    } else {
-      Task task;
-      task.seq = next_seq_++;
-      task.text = std::move(request_text);
-      task.shed = options_.degrade_depth > 0 &&
-                  queue_.size() + running_ >= options_.degrade_depth;
-      task.enqueued = std::chrono::steady_clock::now();
-      if (journal_ != nullptr) {
-        // Write-ahead: the admit record must be durable before the request
-        // can produce any effect.  Appending under the admission lock means
-        // file order == seq order for admits.  An append failure (disk
-        // full) refuses the request rather than running it unjournaled.
-        try {
-          journal_->append_admit(task.seq, task.text);
-        } catch (const std::exception& e) {
-          refused = true;
-          refusal_code = ErrorCode::Internal;
-          refusal = strf("journal append failed: %s", e.what());
-          next_seq_ = task.seq;  // the seq was never admitted; reuse it
-          ++stats_.overloaded;
-          ServiceMetrics::instance().overloaded.add();
-        }
-      }
-      if (!refused) {
-        task.promise = std::move(promise);
-        queue_.push_back(std::move(task));
-        ++stats_.admitted;
-        ServiceMetrics::instance().admitted.add();
-        const std::uint64_t depth =
-            static_cast<std::uint64_t>(queue_.size() + running_);
-        if (depth > stats_.queue_high_water) stats_.queue_high_water = depth;
-        ServiceMetrics::instance().queue_depth.set(
-            static_cast<std::int64_t>(depth));
-      }
+  if (draining_) {
+    refusal = "service is draining; retry against another instance or later";
+  } else if (in_flight_ >= options_.queue_limit) {
+    refusal = "service overloaded; retry later";
+  } else if (journal_ != nullptr) {
+    // Write-ahead: the admit record must be durable before the request can
+    // produce any effect.  Appending under the admission lock means file
+    // order == seq order for admits.  An append failure (disk full) refuses
+    // the request rather than running it unjournaled.
+    try {
+      journal_->append_admit(next_seq_, request_text);
+    } catch (const std::exception& e) {
+      refusal_code = ErrorCode::Internal;
+      refusal = strf("journal append failed: %s", e.what());
     }
   }
-  if (refused) {
+  if (!refusal.empty()) {
+    ++stats_.overloaded;
+    ServiceMetrics::instance().overloaded.add();
     // The client correlates by response order; an admission refusal never
     // parsed the request, so it carries no id.
-    promise.set_value(error_response("", refusal_code, refusal));
-  } else {
-    cv_.notify_one();
+    answer = error_response("", refusal_code, refusal);
+    return false;
   }
-  return fut;
+  task.seq = next_seq_++;
+  task.text = request_text;
+  task.shed = options_.degrade_depth > 0 && in_flight_ >= options_.degrade_depth;
+  task.admitted = std::chrono::steady_clock::now();
+  ++in_flight_;
+  ++stats_.admitted;
+  ServiceMetrics::instance().admitted.add();
+  if (in_flight_ > stats_.queue_high_water) stats_.queue_high_water = in_flight_;
+  ServiceMetrics::instance().queue_depth.set(static_cast<std::int64_t>(in_flight_));
+  return true;
 }
 
 std::string AssessmentService::handle(const std::string& request_text) {
-  return submit(request_text).get();
+  Task task;
+  std::string answer;
+  if (!admit(request_text, task, answer)) return answer;
+  return run(task);
+}
+
+std::future<std::string> AssessmentService::submit(const std::string& request_text) {
+  Task task;
+  std::string answer;
+  if (admit(request_text, task, answer)) {
+    try {
+      return std::async(std::launch::async, [this, task] { return run(task); });
+    } catch (const std::system_error&) {
+      // No thread to spare: run here rather than leak the admitted request.
+      answer = run(task);
+    }
+  }
+  std::promise<std::string> ready;
+  ready.set_value(std::move(answer));
+  return ready.get_future();
 }
 
 ServiceStats AssessmentService::stats() const {
@@ -286,75 +269,67 @@ ServiceStats AssessmentService::stats() const {
   return out;
 }
 
-void AssessmentService::worker_loop() {
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lk(m_);
-      cv_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++running_;
-    }
-    RequestTrace trace;
-    trace.seq = task.seq;
-    trace.queue_wait_ns = ns_since(task.enqueued);
-    Outcome outcome = process(task, &trace);
-    // Commit BEFORE the future resolves: once a client can observe the
-    // response, a crash must not forget it (write-ahead on both edges).
-    // Commits from concurrent workers may interleave out of seq order in
-    // the file; recovery orders by seq.
-    if (journal_ != nullptr) {
-      const auto journal_start = std::chrono::steady_clock::now();
-      try {
-        journal_->append_commit(task.seq, outcome.body);
-      } catch (const std::exception&) {
-        // A failed commit append (disk full) leaves the request admitted-
-        // but-uncommitted: the next boot re-executes it, which is safe.
-      }
-      trace.journal_append_ns = ns_since(journal_start);
-    }
-    trace.ok = outcome.ok;
-    trace.degraded = outcome.degraded;
-    trace.error = outcome.error;
-    trace.total_ns = ns_since(task.enqueued);
-    bool drained_now = false;
-    {
-      // Release the slot and settle the counters BEFORE delivering the
-      // response: a caller woken by the future must observe the slot free
-      // (the replay window-throttling guarantee) and the stats settled.
-      std::lock_guard<std::mutex> lk(m_);
-      --running_;
-      ++stats_.completed;
-      if (outcome.ok) {
-        ++stats_.ok;
-      } else {
-        ++stats_.errors;
-        switch (outcome.error) {
-          case ErrorCode::Deadline:
-            ++stats_.deadline_exceeded;
-            break;
-          case ErrorCode::Parse:
-            ++stats_.parse_errors;
-            break;
-          case ErrorCode::Validation:
-            ++stats_.validation_errors;
-            break;
-          default:
-            ++stats_.internal_errors;
-            break;
-        }
-      }
-      if (outcome.degraded) ++stats_.degraded;
-      ServiceMetrics::instance().queue_depth.set(
-          static_cast<std::int64_t>(queue_.size() + running_));
-      drained_now = queue_.empty() && running_ == 0;
-    }
-    finish_trace(trace);
-    if (drained_now) drained_cv_.notify_all();
-    task.promise.set_value(std::move(outcome.body));
+std::string AssessmentService::run(const Task& task) {
+  {
+    std::unique_lock<std::mutex> lk(m_);
+    slot_cv_.wait(lk, [&] { return running_ < options_.workers; });
+    ++running_;
   }
+  RequestTrace trace;
+  trace.seq = task.seq;
+  trace.queue_wait_ns = ns_since(task.admitted);
+  Outcome outcome = process(task, &trace);
+  // Commit BEFORE the response is returned: once a client can observe it,
+  // a crash must not forget it (write-ahead on both edges).  Commits from
+  // concurrent requests may interleave out of seq order in the file;
+  // recovery orders by seq.
+  if (journal_ != nullptr) {
+    const auto journal_start = std::chrono::steady_clock::now();
+    try {
+      journal_->append_commit(task.seq, outcome.body);
+    } catch (const std::exception&) {
+      // A failed commit append (disk full) leaves the request admitted-
+      // but-uncommitted: the next boot re-executes it, which is safe.
+    }
+    trace.journal_append_ns = ns_since(journal_start);
+  }
+  trace.ok = outcome.ok;
+  trace.degraded = outcome.degraded;
+  trace.error = outcome.error;
+  trace.total_ns = ns_since(task.admitted);
+  finish_trace(trace);
+  // Release the slot and settle the counters before returning: a caller
+  // that sees the response observes its slot free (the replay
+  // window-throttling guarantee) and the stats settled.  Notifying under
+  // the lock keeps *this alive until both notifications are done.
+  std::lock_guard<std::mutex> lk(m_);
+  --running_;
+  --in_flight_;
+  ++stats_.completed;
+  if (outcome.ok) {
+    ++stats_.ok;
+  } else {
+    ++stats_.errors;
+    switch (outcome.error) {
+      case ErrorCode::Deadline:
+        ++stats_.deadline_exceeded;
+        break;
+      case ErrorCode::Parse:
+        ++stats_.parse_errors;
+        break;
+      case ErrorCode::Validation:
+        ++stats_.validation_errors;
+        break;
+      default:
+        ++stats_.internal_errors;
+        break;
+    }
+  }
+  if (outcome.degraded) ++stats_.degraded;
+  ServiceMetrics::instance().queue_depth.set(static_cast<std::int64_t>(in_flight_));
+  slot_cv_.notify_one();
+  if (in_flight_ == 0) drained_cv_.notify_all();
+  return std::move(outcome.body);
 }
 
 void AssessmentService::finish_trace(RequestTrace& trace) const {
@@ -385,17 +360,13 @@ void AssessmentService::finish_trace(RequestTrace& trace) const {
 }
 
 void AssessmentService::begin_drain() {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    draining_ = true;
-  }
-  drained_cv_.notify_all();
+  std::lock_guard<std::mutex> lk(m_);
+  draining_ = true;
 }
 
 bool AssessmentService::await_drained(std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lk(m_);
-  return drained_cv_.wait_for(lk, timeout,
-                              [&] { return queue_.empty() && running_ == 0; });
+  return drained_cv_.wait_for(lk, timeout, [&] { return in_flight_ == 0; });
 }
 
 void AssessmentService::flush_journal() {
@@ -411,7 +382,7 @@ std::string AssessmentService::health_response() const {
       "\"running\": %zu, \"workers\": %u, \"admitted\": %llu, "
       "\"completed\": %llu, \"cache_size\": %zu, \"cache_hits\": %llu, "
       "\"journal\": %s, \"journal_lag\": %llu, \"draining\": %s}",
-      kServeVersion, queue_.size(), running_, options_.workers,
+      kServeVersion, in_flight_ - running_, running_, options_.workers,
       static_cast<unsigned long long>(stats_.admitted),
       static_cast<unsigned long long>(stats_.completed), cache_.size(),
       static_cast<unsigned long long>(cache.hits),
@@ -438,7 +409,7 @@ std::string AssessmentService::stats_response() const {
       "\"parse_errors\": %llu, \"validation_errors\": %llu, "
       "\"internal_errors\": %llu, \"recovered\": %llu, "
       "\"health_probes\": %llu, \"stats_probes\": %llu",
-      kWireVersion, queue_.size(), u64(stats_.queue_high_water), running_,
+      kWireVersion, in_flight_ - running_, u64(stats_.queue_high_water), running_,
       options_.workers, u64(stats_.admitted), u64(stats_.completed),
       u64(stats_.ok), u64(stats_.errors), u64(stats_.overloaded),
       u64(stats_.degraded), u64(stats_.deadline_exceeded),
@@ -503,7 +474,7 @@ AssessmentService::Outcome AssessmentService::run_assessment(
     const Task& task, const AssessmentRequest& request,
     RequestTrace* trace) const {
   const FaultPlan& faults = options_.faults;
-  const DeadlineGuard deadline{task.enqueued, request.deadline_ms,
+  const DeadlineGuard deadline{task.admitted, request.deadline_ms,
                                faults.fires(task.seq, FaultKind::Deadline)};
   deadline.check("after parse");
 

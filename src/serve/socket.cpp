@@ -175,7 +175,13 @@ void SocketServer::run() {
       ::close(fd);
       break;
     }
-    if (active_connections_.load() >= options_.max_connections) {
+    // Without this, Nagle holds a small response back behind the peer's
+    // delayed ACK on pipelined connections.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    std::unique_lock<std::mutex> lk(conn_m_);
+    if (conn_fds_.size() >= options_.max_connections) {
+      lk.unlock();
       // Refuse above the connection cap with a structured frame so the
       // client sees backpressure, not a silent hangup.
       SocketMetrics::instance().connections_refused.add();
@@ -185,12 +191,14 @@ void SocketServer::run() {
       continue;
     }
     SocketMetrics::instance().connections_accepted.add();
-    ++active_connections_;
-    {
-      std::lock_guard<std::mutex> lk(conn_m_);
-      conn_fds_.push_back(fd);
+    conn_fds_.push_back(fd);
+    if (idle_ > 0) {
+      --idle_;
+      handoff_.push_back(fd);
+      conn_cv_.notify_one();
+    } else {
+      handlers_.emplace_back([this, fd] { serve_connections(fd); });
     }
-    threads_.emplace_back([this, fd] { serve_connection(fd); });
   }
   // Graceful drain: stop admitting (new frames on open connections get
   // structured refusals), let every already-admitted request finish, make
@@ -206,9 +214,11 @@ void SocketServer::run() {
       // the peer sees EOF on its next read.  A timed-out drain hard-closes.
       ::shutdown(fd, drained ? SHUT_RD : SHUT_RDWR);
     }
+    closing_ = true;
   }
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
+  conn_cv_.notify_all();
+  for (std::thread& t : handlers_) t.join();
+  handlers_.clear();
 }
 
 void SocketServer::stop() {
@@ -216,42 +226,48 @@ void SocketServer::stop() {
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
 }
 
-void SocketServer::serve_connection(int fd) {
+void SocketServer::serve_connections(int fd) {
   SocketMetrics& sm = SocketMetrics::instance();
   std::string request;
   for (;;) {
-    const FrameStatus status = read_frame(fd, request);
-    if (status == FrameStatus::Eof) break;
-    if (status == FrameStatus::Truncated) {
-      // Best-effort: the peer may already be gone, but when only its write
-      // side died the structured error tells it the request never reached
-      // an engine (a retry is unconditionally safe).
-      sm.truncated_frames.add();
-      write_frame(fd, error_response("", ErrorCode::Parse,
-                                     "truncated request frame: connection lost "
-                                     "mid-frame; the request was not processed"));
-      break;
+    for (;;) {
+      const FrameStatus status = read_frame(fd, request);
+      if (status == FrameStatus::Eof) break;
+      if (status == FrameStatus::Truncated) {
+        // Best-effort: the peer may already be gone, but when only its write
+        // side died the structured error tells it the request never reached
+        // an engine (a retry is unconditionally safe).
+        sm.truncated_frames.add();
+        write_frame(fd, error_response("", ErrorCode::Parse,
+                                       "truncated request frame: connection lost "
+                                       "mid-frame; the request was not processed"));
+        break;
+      }
+      if (status == FrameStatus::TooLarge) {
+        sm.oversized_frames.add();
+        write_frame(fd, error_response("", ErrorCode::Parse,
+                                       strf("request frame exceeds %zu bytes",
+                                            kMaxFrameBytes)));
+        break;
+      }
+      sm.frames_in.add();
+      sm.bytes_in.add(request.size());
+      const std::string response = service_->handle(request);
+      if (!write_frame(fd, response)) break;
+      sm.frames_out.add();
+      sm.bytes_out.add(response.size());
     }
-    if (status == FrameStatus::TooLarge) {
-      sm.oversized_frames.add();
-      write_frame(fd, error_response("", ErrorCode::Parse,
-                                     strf("request frame exceeds %zu bytes",
-                                          kMaxFrameBytes)));
-      break;
-    }
-    sm.frames_in.add();
-    sm.bytes_in.add(request.size());
-    const std::string response = service_->handle(request);
-    if (!write_frame(fd, response)) break;
-    sm.frames_out.add();
-    sm.bytes_out.add(response.size());
-  }
-  ::close(fd);
-  {
-    std::lock_guard<std::mutex> lk(conn_m_);
+    std::unique_lock<std::mutex> lk(conn_m_);
+    // Deregister before closing, under the lock the drain shuts fds down
+    // with: the drain must never shut down a reused fd number.
     conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
+    ::close(fd);
+    ++idle_;
+    conn_cv_.wait(lk, [&] { return closing_ || !handoff_.empty(); });
+    if (handoff_.empty()) return;
+    fd = handoff_.back();
+    handoff_.pop_back();
   }
-  --active_connections_;
 }
 
 SocketClient::SocketClient(const std::string& host, std::uint16_t port) {
@@ -329,7 +345,7 @@ SocketServer::SocketServer(const ServerOptions& options) : options_(options) {
 SocketServer::~SocketServer() = default;
 void SocketServer::run() {}
 void SocketServer::stop() {}
-void SocketServer::serve_connection(int) {}
+void SocketServer::serve_connections(int) {}
 
 SocketClient::SocketClient(const std::string&, std::uint16_t) {
   throw PreconditionError("SocketClient: POSIX sockets unavailable on this platform");

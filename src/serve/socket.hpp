@@ -7,10 +7,12 @@
 // answered with a structured parse error and the connection is closed
 // (a hostile length header must not make the server allocate gigabytes).
 //
-// The server is deliberately simple: one thread per connection, requests
-// within a connection processed in order (responses come back in request
-// order), concurrency across connections bounded by max_connections —
-// admission control proper lives in the AssessmentService behind it.
+// The server is deliberately simple: each connection is served by one
+// handler thread that runs its requests to completion, in order (responses
+// come back in request order).  Handlers are started only when none is
+// idle and are reused after their connection closes, so at most
+// max_connections exist; admission control proper lives in the
+// AssessmentService behind it.
 //
 // Shutdown is a graceful drain: stop() unblocks the accept loop, after
 // which run() stops admitting (new frames get structured overload
@@ -20,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -56,7 +59,7 @@ struct ServerOptions {
   ServiceOptions service;
   std::uint16_t port = 0;  // 0 = ephemeral (read back via port())
   int backlog = 16;
-  unsigned max_connections = 32;
+  unsigned max_connections = 32;  // open connections and handler threads
   // How long a drain may wait for admitted requests before connections are
   // hard-closed anyway.
   std::uint32_t drain_timeout_ms = 5000;
@@ -85,17 +88,23 @@ class SocketServer {
   void stop();
 
  private:
-  void serve_connection(int fd);
+  // Handler thread: serves `fd`, then each connection handed to it.
+  void serve_connections(int fd);
 
   const ServerOptions options_;
   std::unique_ptr<AssessmentService> service_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
-  std::atomic<unsigned> active_connections_{0};
+  // Under conn_m_, handlers_.size() == idle_ + conn_fds_.size(): each
+  // handler is idle or owns one open connection.
   std::mutex conn_m_;
+  std::condition_variable conn_cv_;
   std::vector<int> conn_fds_;  // open connections, for shutdown on stop
-  std::vector<std::thread> threads_;
+  std::vector<int> handoff_;   // accepted fds promised to idle handlers
+  std::size_t idle_ = 0;
+  bool closing_ = false;  // drained: idle handlers exit
+  std::vector<std::thread> handlers_;
 };
 
 // How a client-side roundtrip failed (Ok = it did not).  NoResponse is a

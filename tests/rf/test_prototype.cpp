@@ -1,6 +1,7 @@
 #include "rf/prototype.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -77,15 +78,19 @@ TEST(Prototype, Preconditions) {
 
 // Property sweep: a denormalized lossless Chebyshev lowpass exhibits its
 // design ripple in the passband and is monotone beyond cutoff.
+// CTest names each case after the raw bytes of its parameter, so the struct
+// has no padding: padding bytes are uninitialised and would give the cases a
+// different name on every build.
 struct ChebyCase {
-  int order;
+  std::int64_t order;
   double ripple_db;
 };
 
 class ChebyshevResponseTest : public ::testing::TestWithParam<ChebyCase> {};
 
 TEST_P(ChebyshevResponseTest, EqualRippleAndCutoff) {
-  const auto [n, ripple] = GetParam();
+  const int n = static_cast<int>(GetParam().order);
+  const double ripple = GetParam().ripple_db;
   const double fc = 100e6;
   const Circuit ckt = realize_lowpass(chebyshev(n, ripple), fc, 50.0);
 

@@ -19,14 +19,18 @@ std::string corpus_path(const char* name) {
   return std::string(IPASS_SERVE_LOG_DIR) + "/journal_corpus/" + name;
 }
 
+// CTest names each case "<name>  # GetParam() = <raw bytes of the param>".
+// The case structs lead with plain values and keep the file path last, so the
+// head of that name does not depend on where the loader maps the path literal.
+
 // Recovered corpus: scan succeeds; the valid prefix and the truncation are
 // exactly as crafted.
 struct RecoveredCase {
-  const char* file;
   std::size_t records;          // valid records surviving
   std::uint64_t committed;
   std::uint64_t uncommitted;
   bool truncation;              // torn/corrupt tail present
+  const char* file;
 };
 
 class JournalCorpusRecovered : public ::testing::TestWithParam<RecoveredCase> {};
@@ -42,12 +46,12 @@ TEST_P(JournalCorpusRecovered, RecoversTheValidPrefix) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, JournalCorpusRecovered,
-    ::testing::Values(RecoveredCase{"empty.wal", 0, 0, 0, false},
-                      RecoveredCase{"short_magic.wal", 0, 0, 0, true},
-                      RecoveredCase{"torn_tail_mid_record.wal", 2, 1, 0, true},
-                      RecoveredCase{"bad_crc.wal", 2, 1, 0, true},
-                      RecoveredCase{"zero_length_record.wal", 2, 1, 0, true},
-                      RecoveredCase{"over_cap_record.wal", 2, 1, 0, true}),
+    ::testing::Values(RecoveredCase{0, 0, 0, false, "empty.wal"},
+                      RecoveredCase{0, 0, 0, true, "short_magic.wal"},
+                      RecoveredCase{2, 1, 0, true, "torn_tail_mid_record.wal"},
+                      RecoveredCase{2, 1, 0, true, "bad_crc.wal"},
+                      RecoveredCase{2, 1, 0, true, "zero_length_record.wal"},
+                      RecoveredCase{2, 1, 0, true, "over_cap_record.wal"}),
     [](const ::testing::TestParamInfo<RecoveredCase>& info) {
       std::string name = info.param.file;
       return name.substr(0, name.find('.'));
@@ -56,9 +60,9 @@ INSTANTIATE_TEST_SUITE_P(
 // Rejected corpus: scan throws a PreconditionError whose message names the
 // violation (and the offending record), never a misread or a silent accept.
 struct RejectedCase {
+  ErrorCode code;
   const char* file;
   const char* needle;  // must appear in the error message
-  ErrorCode code;
 };
 
 class JournalCorpusRejected : public ::testing::TestWithParam<RejectedCase> {};
@@ -78,16 +82,16 @@ TEST_P(JournalCorpusRejected, RejectsWithNamedViolation) {
 INSTANTIATE_TEST_SUITE_P(
     Corpus, JournalCorpusRejected,
     ::testing::Values(
-        RejectedCase{"bad_magic.wal", "bad magic", ErrorCode::Parse},
-        RejectedCase{"duplicate_admit.wal", "duplicate admit for seq 0",
-                     ErrorCode::Validation},
-        RejectedCase{"duplicate_commit.wal", "duplicate commit for seq 0",
-                     ErrorCode::Validation},
-        RejectedCase{"commit_without_admit.wal",
-                     "commit without admission for seq 7", ErrorCode::Validation},
-        RejectedCase{"bad_record_type.wal", "unknown record type 9",
-                     ErrorCode::Validation},
-        RejectedCase{"short_seq_record.wal", "too short", ErrorCode::Validation}),
+        RejectedCase{ErrorCode::Parse, "bad_magic.wal", "bad magic"},
+        RejectedCase{ErrorCode::Validation, "duplicate_admit.wal",
+                     "duplicate admit for seq 0"},
+        RejectedCase{ErrorCode::Validation, "duplicate_commit.wal",
+                     "duplicate commit for seq 0"},
+        RejectedCase{ErrorCode::Validation, "commit_without_admit.wal",
+                     "commit without admission for seq 7"},
+        RejectedCase{ErrorCode::Validation, "bad_record_type.wal",
+                     "unknown record type 9"},
+        RejectedCase{ErrorCode::Validation, "short_seq_record.wal", "too short"}),
     [](const ::testing::TestParamInfo<RejectedCase>& info) {
       std::string name = info.param.file;
       return name.substr(0, name.find('.'));

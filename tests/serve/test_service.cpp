@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -165,6 +169,40 @@ TEST(AssessmentService, DegradationShedsOptionalStagesAndFlags) {
   EXPECT_FALSE(field(full, "degraded")->boolean);
   EXPECT_NE(field(full, "sensitivity"), nullptr);
   EXPECT_NE(field(field(full, "buildups")->array[0], "frontier"), nullptr);
+}
+
+TEST(AssessmentService, WorkersBoundHowManyRequestsEvaluateAtOnce) {
+  ServiceOptions options;
+  options.workers = 2;
+  options.faults.stall_rate = 1.0;  // every request holds its slot 100 ms
+  options.faults.stall_ms = 100;
+  AssessmentService service(options);
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<int> finished{0};
+  std::vector<std::string> responses(4);
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    callers.emplace_back([&, i] {
+      responses[i] = service.handle(R"({"id": "c", "kit_name": "ltcc-ceramic"})");
+      ++finished;
+    });
+  }
+  double max_running = 0.0;
+  while (finished.load() < 4) {
+    const JsonValue health = parse_response(service.handle(R"({"kind": "health"})"));
+    max_running = std::max(max_running, field(health, "running")->number);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::thread& t : callers) t.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LE(max_running, 2.0);
+  EXPECT_GE(max_running, 1.0);
+  // Four 100 ms stalls through two slots take at least two rounds.
+  EXPECT_GE(elapsed, std::chrono::milliseconds(200));
+  for (const std::string& r : responses) {
+    EXPECT_EQ(field_str(parse_response(r), "status"), "ok");
+  }
+  EXPECT_EQ(service.stats().completed, 4U);
 }
 
 TEST(AssessmentService, FaultStormNeverCrashesLeaksOrDeadlocks) {
