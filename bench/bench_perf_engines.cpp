@@ -261,7 +261,7 @@ void BM_GpsAssessmentParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_GpsAssessmentParallel)->Arg(1024)->Arg(16384)->UseRealTime();
 
-// Steady-state per-point cost of the SoA batch walk: prebuilt inputs, the
+// Steady-state per-point cost of the batch walk: prebuilt inputs, the
 // compile amortized away, pinned to one thread.  This is the µs/point
 // number the ROADMAP tracks.
 void BM_GpsAssessmentEvaluate(benchmark::State& state) {

@@ -46,8 +46,8 @@ struct DieSpec {
   double nre = 0.0;            // die-specific mask/reticle NRE
 };
 
-// Ceiling on dies per carrier: the batched SoA walk sizes its per-step
-// component planes with this (see cost_assess.cpp), and validate_kit
+// Ceiling on dies per carrier: the flow emitter sizes its fixed-size
+// component lot arrays with this (see cost_assess.cpp), and validate_kit
 // rejects longer lists with a named error.
 inline constexpr std::size_t kMaxProductionDies = 8;
 
@@ -98,7 +98,7 @@ struct ProductionData {
 // NRE the study amortizes over the volume: the shared total plus every
 // die's reticle share.  The accumulation order (total first, then dies in
 // list order) is part of the bit contract between the analytic FlowModel
-// path and the batched SoA epilogue — both call this helper.  With no dies
+// path and the batched compiled epilogue — both call this helper.  With no dies
 // the sum is pd.nre_total unchanged, to the bit.
 inline double effective_nre(const ProductionData& pd) {
   double nre = pd.nre_total;

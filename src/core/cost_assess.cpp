@@ -16,6 +16,7 @@ using moe::FixedYield;
 using moe::Ledger;
 using moe::PerJointYield;
 using moe::YieldSpec;
+using StepKind = moe::Step::Kind;
 
 YieldSpec step_yield(double value, int joints, YieldSemantics semantics) {
   if (semantics == YieldSemantics::PerJoint && joints > 1) {
@@ -24,9 +25,9 @@ YieldSpec step_yield(double value, int joints, YieldSemantics semantics) {
   return FixedYield{value};
 }
 
-// Shared precondition gate of both flow builders: a malformed die list is
-// rejected up front with a message naming the die and field, instead of
-// surfacing as a generic ComponentInput error from deep inside a walk.
+// Precondition gate of emit_flow: a malformed die list is rejected up front
+// with a message naming the die and field, instead of surfacing as a
+// generic ComponentInput error from deep inside a walk.
 void check_die_list(const ProductionData& pd) {
   if (pd.dies.size() > kMaxProductionDies) {
     throw PreconditionError(
@@ -60,47 +61,86 @@ void check_die_list(const ProductionData& pd) {
           "ProductionData: bond_yield must be a yield in (0, 1]");
 }
 
-}  // namespace
+// Widest component lot list a step can carry: the chip pair needs 2, a
+// chiplet-bonding step needs one lot per die.
+inline constexpr std::size_t kMaxLots = kMaxProductionDies;
+static_assert(kMaxLots >= 2, "the chip pair needs two lots");
 
-moe::FlowModel build_flow(const AreaResult& area, const BuildUp& buildup) {
-  const ProductionData& pd = buildup.production;
+// One component lot of an emitted assemble step: a moe::ComponentInput
+// that borrows its name instead of owning it.
+struct Lot {
+  const char* name;
+  int count;
+  double unit_cost;
+  double incoming_yield;
+  CostCategory category;
+};
+
+// The lots of one assemble step, in a fixed-size array so that emitting a
+// flow allocates nothing (emit_flow's die-count check keeps n within
+// kMaxLots).  Only lot[0, n) is ever written or read; the rest
+// stays uninitialized because zeroing it, three times per emitted flow, was
+// a measurable share of a batched lane.
+struct Lots {
+  Lot lot[kMaxLots];
+  std::size_t n = 0;
+
+  void add(const Lot& l) { lot[n++] = l; }
+};
+
+// The production flow of Fig 4 for one (compiled build-up, production data)
+// pair, written once for every cost engine.  It runs the preconditions,
+// takes every branch decision and hands the steps, in line order, to the
+// sink through FlowModel's builder verbs:
+//   fabricate(cost, yield)                    the carrier; the sink names it
+//   process(name, cost, yield, category)
+//   assemble(name, cost_per_component, yield, lots)   step cost 0, Assembly
+//   test(name, cost, coverage)
+//   package(name, cost, yield)
+// A new production step is added here and nowhere else.
+template <class Sink>
+void emit_flow(const CompiledCostModel& m, const ProductionData& pd, Sink& sink) {
+  require(pd.volume > 0.0, "FlowModel: volume must be positive");
+  require(pd.nre_total >= 0.0, "FlowModel: NRE must be non-negative");
   check_die_list(pd);
-  moe::FlowModel flow(buildup.name, pd.volume, effective_nre(pd));
+  if (m.smd_count > 0 && m.smd_on_laminate && !m.uses_laminate) {
+    throw PreconditionError(
+        "BuildUp: smd_on_laminate requires uses_laminate (without a laminate the "
+        "SMD step and its parts cost would be dropped)");
+  }
+  const auto test = [&](const char* name, double cost, double coverage) {
+    require(coverage >= 0.0 && coverage <= 1.0,
+            "FlowModel::test: coverage must be in [0,1]");
+    sink.test(name, cost, coverage);
+  };
 
   // --- carrier fabrication -------------------------------------------------
-  const double substrate_cost =
-      mm2_to_cm2(area.substrate.area_mm2) * buildup.substrate.cost_per_cm2;
-  flow.fabricate(buildup.substrate.name, substrate_cost,
-                 FixedYield{buildup.substrate.fab_yield});
-  if (buildup.substrate.supports_integrated_passives) {
+  sink.fabricate(m.substrate_cost, FixedYield{m.substrate_fab_yield});
+  if (m.integrated_passive_steps) {
     // Structural steps of Fig 4; their cost and yield are folded into the
     // per-cm^2 substrate price and fab yield above.
-    flow.process("Paste impression", 0.0, FixedYield{1.0}, CostCategory::Substrate);
-    flow.process("Rerouting", 0.0, FixedYield{1.0}, CostCategory::Substrate);
-    flow.process("Rerouting", 0.0, FixedYield{1.0}, CostCategory::Substrate);
+    sink.process("Paste impression", 0.0, FixedYield{1.0}, CostCategory::Substrate);
+    for (int i = 0; i < 2; ++i) {
+      sink.process("Rerouting", 0.0, FixedYield{1.0}, CostCategory::Substrate);
+    }
   }
 
   // --- dice ---------------------------------------------------------------
-  const bool packaged = buildup.die_attach == tech::DieAttach::PackagedSmt;
-  std::vector<moe::ComponentInput> dice = {
-      {packaged ? "RF chip (TQFP)" : "RF chip (bare die)", 1, pd.rf_chip_cost,
-       pd.rf_chip_yield, CostCategory::Chips},
-      {packaged ? "DSP correlator (PQFP)" : "DSP correlator (bare die)", 1, pd.dsp_cost,
-       pd.dsp_yield, CostCategory::Chips},
-  };
-  const char* attach_name = packaged ? "Chip assembly (SMT)"
-                            : buildup.die_attach == tech::DieAttach::WireBond
-                                ? "Dice bonding"
-                                : "Flip-chip attach";
-  flow.assemble(attach_name, 0.0, pd.chip_assembly_cost,
-                step_yield(pd.chip_assembly_yield, 2, pd.semantics), std::move(dice));
-
-  int bonds = 0;
-  if (buildup.die_attach == tech::DieAttach::WireBond) {
-    // Bond count from the die specs (68 + 144 = 212 in the paper).
-    bonds = tech::gps_rf_chip().pad_count + tech::gps_dsp_correlator().pad_count;
-    flow.process("Wire bonding", pd.wire_bond_cost * bonds,
-                 step_yield(pd.wire_bond_yield, bonds, pd.semantics),
+  const bool packaged = m.die_attach == tech::DieAttach::PackagedSmt;
+  const bool wire_bonded = m.die_attach == tech::DieAttach::WireBond;
+  Lots dice;
+  dice.add({packaged ? "RF chip (TQFP)" : "RF chip (bare die)", 1, pd.rf_chip_cost,
+            pd.rf_chip_yield, CostCategory::Chips});
+  dice.add({packaged ? "DSP correlator (PQFP)" : "DSP correlator (bare die)", 1, pd.dsp_cost,
+            pd.dsp_yield, CostCategory::Chips});
+  sink.assemble(packaged      ? "Chip assembly (SMT)"
+                : wire_bonded ? "Dice bonding"
+                              : "Flip-chip attach",
+                pd.chip_assembly_cost, step_yield(pd.chip_assembly_yield, 2, pd.semantics),
+                dice);
+  if (wire_bonded) {
+    sink.process("Wire bonding", pd.wire_bond_cost * m.bond_count,
+                 step_yield(pd.wire_bond_yield, m.bond_count, pd.semantics),
                  CostCategory::Assembly);
   }
 
@@ -111,53 +151,72 @@ moe::FlowModel build_flow(const AreaResult& area, const BuildUp& buildup) {
     // components below through kgd_escaped_yield.
     double kgd_cost = 0.0;
     for (const DieSpec& d : pd.dies) kgd_cost += d.kgd_test_cost;
-    flow.process("KGD screening", kgd_cost, FixedYield{1.0}, CostCategory::Test);
+    sink.process("KGD screening", kgd_cost, FixedYield{1.0}, CostCategory::Test);
 
     // Each die is a count-1 component whose incoming yield is what survives
     // its screen; the bond yield compounds per attach.
-    std::vector<moe::ComponentInput> chiplets;
-    chiplets.reserve(pd.dies.size());
+    Lots chiplets;
     for (const DieSpec& d : pd.dies) {
-      chiplets.push_back({d.name, 1, d.cost, kgd_escaped_yield(d.yield, d.kgd_escape),
-                          CostCategory::Chips});
+      chiplets.add({d.name.c_str(), 1, d.cost, kgd_escaped_yield(d.yield, d.kgd_escape),
+                    CostCategory::Chips});
     }
-    flow.assemble("Chiplet bonding", 0.0, pd.bond_cost,
-                  PerJointYield{pd.bond_yield, static_cast<int>(pd.dies.size())},
-                  std::move(chiplets));
+    sink.assemble("Chiplet bonding", pd.bond_cost,
+                  PerJointYield{pd.bond_yield, static_cast<int>(pd.dies.size())}, chiplets);
   }
 
-  // --- SMD passives on the carrier ----------------------------------------
-  const int smd_count = area.bom.smd_placement_count();
-  const double smd_cost = area.bom.smd_parts_cost();
-  const bool smd_on_carrier = smd_count > 0 && !buildup.smd_on_laminate;
-  if (smd_on_carrier) {
-    flow.assemble("SMD mounting", 0.0, pd.smd_assembly_cost,
-                  step_yield(pd.smd_assembly_yield, smd_count, pd.semantics),
-                  {{"SMD passives", smd_count, smd_cost / smd_count, 1.0,
-                    CostCategory::Passives}});
-  }
+  // --- SMD passives, on the carrier or on the laminate ---------------------
+  const auto mount_smds = [&](const char* name) {
+    Lots smds;
+    smds.add({"SMD passives", m.smd_count, m.smd_parts_cost / m.smd_count, 1.0,
+              CostCategory::Passives});
+    sink.assemble(name, pd.smd_assembly_cost,
+                  step_yield(pd.smd_assembly_yield, m.smd_count, pd.semantics), smds);
+  };
+  if (m.smd_count > 0 && !m.smd_on_laminate) mount_smds("SMD mounting");
 
   // --- functional test before packaging (Fig 4) ---------------------------
   if (pd.functional_test_coverage > 0.0) {
-    flow.test("Functional test", pd.functional_test_cost, pd.functional_test_coverage);
+    test("Functional test", pd.functional_test_cost, pd.functional_test_coverage);
   }
 
   // --- packaging -----------------------------------------------------------
-  if (buildup.uses_laminate) {
-    flow.package("Mount on laminate (BGA)", pd.packaging_cost,
+  if (m.uses_laminate) {
+    sink.package("Mount on laminate (BGA)", pd.packaging_cost,
                  FixedYield{pd.packaging_yield});
-    if (smd_count > 0 && buildup.smd_on_laminate) {
-      flow.assemble("SMD mounting (laminate)", 0.0, pd.smd_assembly_cost,
-                    step_yield(pd.smd_assembly_yield, smd_count, pd.semantics),
-                    {{"SMD passives", smd_count, smd_cost / smd_count, 1.0,
-                      CostCategory::Passives}});
-    }
+    if (m.smd_count > 0 && m.smd_on_laminate) mount_smds("SMD mounting (laminate)");
   }
 
   // --- final test -----------------------------------------------------------
-  flow.test("Final test", pd.final_test_cost, pd.final_test_coverage);
-  return flow;
+  test("Final test", pd.final_test_cost, pd.final_test_coverage);
 }
+
+// Sink that builds the moe::FlowModel the analytic and Monte-Carlo engines
+// (and the scenario grid) walk.
+struct FlowModelSink {
+  moe::FlowModel flow;
+  const std::string& carrier;  // the substrate's name
+
+  void fabricate(double cost, const YieldSpec& yield) { flow.fabricate(carrier, cost, yield); }
+  void process(const char* name, double cost, const YieldSpec& yield, CostCategory category) {
+    flow.process(name, cost, yield, category);
+  }
+  void assemble(const char* name, double cost_per_component, const YieldSpec& yield,
+                const Lots& lots) {
+    std::vector<moe::ComponentInput> components;
+    components.reserve(lots.n);
+    for (std::size_t c = 0; c < lots.n; ++c) {
+      const Lot& l = lots.lot[c];
+      components.push_back({l.name, l.count, l.unit_cost, l.incoming_yield, l.category});
+    }
+    flow.assemble(name, 0.0, cost_per_component, yield, std::move(components));
+  }
+  void test(const char* name, double cost, double coverage) { flow.test(name, cost, coverage); }
+  void package(const char* name, double cost, const YieldSpec& yield) {
+    flow.package(name, cost, yield);
+  }
+};
+
+}  // namespace
 
 CompiledCostModel compile_cost_model(const AreaResult& area, const BuildUp& buildup) {
   CompiledCostModel m;
@@ -165,67 +224,65 @@ CompiledCostModel compile_cost_model(const AreaResult& area, const BuildUp& buil
       mm2_to_cm2(area.substrate.area_mm2) * buildup.substrate.cost_per_cm2;
   m.substrate_fab_yield = buildup.substrate.fab_yield;
   m.integrated_passive_steps = buildup.substrate.supports_integrated_passives;
-  m.wire_bonded = buildup.die_attach == tech::DieAttach::WireBond;
-  if (m.wire_bonded) {
+  m.die_attach = buildup.die_attach;
+  if (m.die_attach == tech::DieAttach::WireBond) {
+    // Bond count from the die specs (68 + 144 = 212 in the paper).
     m.bond_count = tech::gps_rf_chip().pad_count + tech::gps_dsp_correlator().pad_count;
   }
   m.smd_count = area.bom.smd_placement_count();
   m.smd_parts_cost = area.bom.smd_parts_cost();
-  m.smd_on_carrier = m.smd_count > 0 && !buildup.smd_on_laminate;
   m.uses_laminate = buildup.uses_laminate;
   m.smd_on_laminate = buildup.smd_on_laminate;
   return m;
 }
 
+moe::FlowModel build_flow(const AreaResult& area, const BuildUp& buildup) {
+  const ProductionData& pd = buildup.production;
+  FlowModelSink sink{moe::FlowModel(buildup.name, pd.volume, effective_nre(pd)),
+                     buildup.substrate.name};
+  emit_flow(compile_cost_model(area, buildup), pd, sink);
+  return std::move(sink.flow);
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
-// SoA-batched compiled walk.
+// Compiled batch walk.
 //
-// The flattened flow of (model, pd) is the numeric twin of build_flow(),
-// step for step.  A batch of lanes with identical step *structure* (same
-// model flags, same SMD count, functional test present in all or none)
-// shares one structural skeleton; every per-lane number lives in a
-// lane-major plane field[step][lane].  Each lane is then walked through the
-// shared flow-walk kernel, so a lane's CostSummary is bit-identical to the
-// FlowModel path no matter how the sweep was batched.
+// Each lane's flow is emitted by emit_flow() into a flat step array and
+// walked straight away through the shared flow-walk kernel, so a lane's
+// CostSummary is bit-identical to the FlowModel path no matter how the
+// sweep was batched.  The lanes of one batch share the transcendental
+// work: a step's lambda is reused from the previous lane when its yield
+// inputs repeat, and test-step exponentials go through caches that live for
+// the whole batch.
 
 // Upper bound on steps: fabricate + 3 IP + chips + bonds + KGD screening +
 // chiplet bonding + SMD + functional test + package + laminate SMD +
 // final test.
 inline constexpr int kMaxFlatSteps = 14;
 
-// Widest component lot list a step can carry: the chip pair needs 2, a
-// chiplet-bonding step needs one lot per die.
-inline constexpr std::size_t kMaxFlatComponents = kMaxProductionDies;
-static_assert(kMaxFlatComponents >= 2, "the chip pair needs two lots");
-
-// Lane-shared structure of one flattened step.  Component counts are
-// model-derived (or, for dies, part of the structure key) and therefore
-// lane-shared.
-struct FlatComponentInfo {
-  int count = 0;
-  CostCategory category = CostCategory::Passives;
+struct FlatLot {
+  int count;
+  CostCategory category;
+  double unit_cost;
 };
 
-struct FlatStepInfo {
-  bool is_test = false;
-  CostCategory category = CostCategory::Assembly;
-  int n_components = 0;
-  FlatComponentInfo comp[kMaxFlatComponents];
-};
-
-struct FlatBatch {
-  std::size_t lanes = 0;
-  int n_steps = 0;
-  FlatStepInfo info[kMaxFlatSteps];
-  // Lane-major planes [step][lane].  `cost` carries the walk's already
-  // combined direct step cost (for tests: the test cost); `lambda` and
-  // `coverage` are only read for their step kind.
-  double cost[kMaxFlatSteps][kCostBatchLanes];
-  double comp_unit_cost[kMaxFlatSteps][kMaxFlatComponents][kCostBatchLanes];
-  double lambda[kMaxFlatSteps][kCostBatchLanes];
-  double coverage[kMaxFlatSteps][kCostBatchLanes];
+// One flattened step: its skeleton (kind, category, lot counts and
+// categories) and the lane's numbers.  `cost` is the walk's already
+// combined direct step cost (for tests: the test cost); `lambda` and
+// `coverage` are only read for their step kind.  LaneSink writes every
+// field the walk reads before the walk runs, so the fields carry no
+// initializers: zeroing all the slots on every batched call was a
+// measurable share of a one-lane call.
+struct FlatStep {
+  StepKind kind;
+  CostCategory category;
+  int n_lots;
+  double cost;
+  double lambda;
+  double coverage;
+  FlatLot lot[kMaxLots];
 };
 
 // Mirrors one ComponentInput's contribution to Step::added_fault_intensity().
@@ -235,9 +292,113 @@ double component_lambda(double incoming_yield, int count) {
   return -std::log(incoming_yield) * count;
 }
 
-// Transcendental memo shared by the lanes of a group.  exp (like the log
-// chains behind the lambda planes) is a pure function, so equal argument
-// bits give equal result bits — reusing the previous lane's value when the
+bool same_yield(const YieldSpec& a, const YieldSpec& b) {
+  if (const auto* x = std::get_if<FixedYield>(&a)) {
+    const auto* y = std::get_if<FixedYield>(&b);
+    return y && x->value == y->value;
+  }
+  if (const auto* x = std::get_if<PerJointYield>(&a)) {
+    const auto* y = std::get_if<PerJointYield>(&b);
+    return y && x->per_joint == y->per_joint && x->joints == y->joints;
+  }
+  return false;  // emit_flow never emits an AreaYield
+}
+
+// The yield inputs one step slot's lambda was last computed from
+// (n_lots < 0: none yet).
+struct LambdaMemo {
+  YieldSpec yield;
+  int n_lots = -1;
+  double lot_yield[kMaxLots] = {};
+  int lot_count[kMaxLots] = {};
+  double lambda = 0.0;
+};
+
+// Sink that flattens one lane's flow for the walk.  The walk's per-step
+// direct cost `s.cost + s.cost_per_component * component_count` is
+// precombined here with the FlowModel path's operands and order, so no bit
+// changes (a dropped `+ 0.0` term is exact for the non-negative costs
+// booked along a flow).  A step's lambda is the previous lane's whenever
+// its yield inputs are equal: the -ln chains are pure functions, so equal
+// inputs give equal bits, and sweeps rarely vary yields lane to lane (see
+// ExpCache).  Costs are always per-lane; they are the cheap part.
+struct LaneSink {
+  int n_steps = 0;
+  FlatStep steps[kMaxFlatSteps];
+  LambdaMemo memo[kMaxFlatSteps];  // one per step slot, kept across lanes
+
+  void fabricate(double cost, const YieldSpec& yield) {
+    step(StepKind::Fabricate, CostCategory::Substrate, cost, yield, nullptr);
+  }
+  void process(const char*, double cost, const YieldSpec& yield, CostCategory category) {
+    step(StepKind::Process, category, cost, yield, nullptr);
+  }
+  void assemble(const char*, double cost_per_component, const YieldSpec& yield,
+                const Lots& lots) {
+    int count = 0;
+    for (std::size_t c = 0; c < lots.n; ++c) count += lots.lot[c].count;
+    step(StepKind::Assemble, CostCategory::Assembly, cost_per_component * count, yield, &lots);
+  }
+  void package(const char*, double cost, const YieldSpec& yield) {
+    step(StepKind::Package, CostCategory::Packaging, cost, yield, nullptr);
+  }
+  void test(const char*, double cost, double coverage) {
+    FlatStep& s = steps[next(StepKind::Test, CostCategory::Test)];
+    s.cost = cost;
+    s.coverage = coverage;
+  }
+
+ private:
+  int next(StepKind kind, CostCategory category) {
+    ensure(n_steps < kMaxFlatSteps, "emit_flow: more steps than kMaxFlatSteps");
+    FlatStep& s = steps[n_steps];
+    s.kind = kind;
+    s.category = category;
+    s.n_lots = 0;
+    return n_steps++;
+  }
+
+  void step(StepKind kind, CostCategory category, double cost, const YieldSpec& yield,
+            const Lots* lots) {
+    const int n_lots = lots ? static_cast<int>(lots->n) : 0;
+    const int i = next(kind, category);
+    FlatStep& s = steps[i];
+    LambdaMemo& m = memo[i];
+    s.cost = cost;
+    s.n_lots = n_lots;
+    bool reuse = m.n_lots == n_lots;
+    for (int c = 0; c < n_lots; ++c) {
+      const Lot& l = lots->lot[c];
+      s.lot[c] = {l.count, l.category, l.unit_cost};
+      reuse &= (m.lot_yield[c] == l.incoming_yield) & (m.lot_count[c] == l.count);
+    }
+    reuse = reuse && same_yield(m.yield, yield);
+    if (!reuse) {
+      double lambda = moe::fault_intensity(yield);
+      for (int c = 0; c < n_lots; ++c) {
+        const Lot& l = lots->lot[c];
+        lambda += component_lambda(l.incoming_yield, l.count);
+        m.lot_yield[c] = l.incoming_yield;
+        m.lot_count[c] = l.count;
+      }
+      m.yield = yield;
+      m.n_lots = n_lots;
+      m.lambda = lambda;
+    }
+    s.lambda = m.lambda;
+  }
+};
+
+// Step sequence the kernel iterates: plain indices into the flat steps.
+struct LaneStepsView {
+  int n_steps = 0;
+  std::size_t size() const { return static_cast<std::size_t>(n_steps); }
+  std::size_t operator[](std::size_t i) const { return i; }
+};
+
+// Transcendental memo shared by the lanes of a batch.  exp (like the log
+// chains behind the lambdas) is a pure function, so equal argument bits
+// give equal result bits — reusing the previous lane's value when the
 // argument repeats changes nothing.  In calibration-style sweeps the yield
 // inputs rarely vary across points, so almost every lane past the first
 // hits the cache; that is the batch path's main win over W scalar calls.
@@ -257,237 +418,22 @@ struct ExpCache {
   }
 };
 
-void check_coverage(double fault_coverage) {
-  require(fault_coverage >= 0.0 && fault_coverage <= 1.0,
-          "FlowModel::test: coverage must be in [0,1]");
-}
-
-// Build the flattened flow for `lanes` structure-identical points: the
-// numeric twin of build_flow(), step for step.  The walk's per-step direct
-// cost `s.cost + s.cost_per_component * component_count` is precombined
-// per lane here — every expression keeps the FlowModel path's operands and
-// order, so no bit changes (a dropped `+ 0.0` term is exact for the
-// non-negative costs booked along a flow).
-void build_flat_batch(const CostEvalPoint* pts, std::size_t lanes, FlatBatch& b) {
-  b.lanes = lanes;
-  const CompiledCostModel& m0 = *pts[0].model;  // lane-shared structure flags
-  for (std::size_t w = 0; w < lanes; ++w) {
-    require(pts[w].pd->volume > 0.0, "FlowModel: volume must be positive");
-    require(pts[w].pd->nre_total >= 0.0, "FlowModel: NRE must be non-negative");
-    check_die_list(*pts[w].pd);
-  }
-  int n = 0;
-
-  // The lambda planes below reuse the previous lane's value whenever the
-  // yield inputs repeat — the -ln chains are pure functions, so equal
-  // inputs give equal bits, and sweeps rarely vary yields lane to lane
-  // (see ExpCache).  Costs are always per-lane; they are the cheap part.
-
-  // --- carrier fabrication ---
-  b.info[n] = FlatStepInfo{};
-  b.info[n].category = CostCategory::Substrate;
-  for (std::size_t w = 0; w < lanes; ++w) {
-    b.cost[n][w] = pts[w].model->substrate_cost;
-    b.lambda[n][w] =
-        w > 0 && pts[w].model->substrate_fab_yield == pts[w - 1].model->substrate_fab_yield
-            ? b.lambda[n][w - 1]
-            : moe::fault_intensity(FixedYield{pts[w].model->substrate_fab_yield});
-  }
-  ++n;
-  if (m0.integrated_passive_steps) {
-    // Structural Fig-4 steps: cost 0, yield 1 in every lane.
-    const double ip_lambda = moe::fault_intensity(FixedYield{1.0});
-    for (int i = 0; i < 3; ++i) {
-      b.info[n] = FlatStepInfo{};
-      b.info[n].category = CostCategory::Substrate;
-      for (std::size_t w = 0; w < lanes; ++w) {
-        b.cost[n][w] = 0.0;
-        b.lambda[n][w] = ip_lambda;
-      }
-      ++n;
-    }
-  }
-
-  // --- dice ---
-  b.info[n] = FlatStepInfo{};
-  b.info[n].category = CostCategory::Assembly;
-  b.info[n].n_components = 2;
-  b.info[n].comp[0] = {1, CostCategory::Chips};
-  b.info[n].comp[1] = {1, CostCategory::Chips};
-  for (std::size_t w = 0; w < lanes; ++w) {
-    const ProductionData& pd = *pts[w].pd;
-    b.cost[n][w] = pd.chip_assembly_cost * 2;
-    b.comp_unit_cost[n][0][w] = pd.rf_chip_cost;
-    b.comp_unit_cost[n][1][w] = pd.dsp_cost;
-    const ProductionData* prev = w > 0 ? pts[w - 1].pd : nullptr;
-    if (prev && pd.chip_assembly_yield == prev->chip_assembly_yield &&
-        pd.rf_chip_yield == prev->rf_chip_yield && pd.dsp_yield == prev->dsp_yield &&
-        pd.semantics == prev->semantics) {
-      b.lambda[n][w] = b.lambda[n][w - 1];
-    } else {
-      double lam = moe::fault_intensity(step_yield(pd.chip_assembly_yield, 2, pd.semantics));
-      lam += component_lambda(pd.rf_chip_yield, 1);
-      lam += component_lambda(pd.dsp_yield, 1);
-      b.lambda[n][w] = lam;
-    }
-  }
-  ++n;
-  if (m0.wire_bonded) {
-    b.info[n] = FlatStepInfo{};
-    b.info[n].category = CostCategory::Assembly;
-    for (std::size_t w = 0; w < lanes; ++w) {
-      const ProductionData& pd = *pts[w].pd;
-      const int bonds = pts[w].model->bond_count;  // group-shared (structure key)
-      b.cost[n][w] = pd.wire_bond_cost * bonds;
-      b.lambda[n][w] = w > 0 && pd.wire_bond_yield == pts[w - 1].pd->wire_bond_yield &&
-                               pd.semantics == pts[w - 1].pd->semantics
-                           ? b.lambda[n][w - 1]
-                           : moe::fault_intensity(
-                                 step_yield(pd.wire_bond_yield, bonds, pd.semantics));
-    }
-    ++n;
-  }
-
-  // --- chiplet dice (2.5D multi-die extension) ---
-  const std::size_t n_dies = pts[0].pd->dies.size();  // group-shared (structure key)
-  if (n_dies > 0) {
-    // KGD screening: a per-unit spend with no added intensity (the screen's
-    // yield effect rides on the bonded components below).
-    b.info[n] = FlatStepInfo{};
-    b.info[n].category = CostCategory::Test;
-    const double kgd_lambda = moe::fault_intensity(FixedYield{1.0});
-    for (std::size_t w = 0; w < lanes; ++w) {
-      double kgd_cost = 0.0;
-      for (const DieSpec& d : pts[w].pd->dies) kgd_cost += d.kgd_test_cost;
-      b.cost[n][w] = kgd_cost;
-      b.lambda[n][w] = kgd_lambda;
-    }
-    ++n;
-    // Chiplet bonding: each die a count-1 Chips lot whose incoming yield is
-    // what survives its screen; bond yield compounds per attach.
-    const int die_count = static_cast<int>(n_dies);
-    b.info[n] = FlatStepInfo{};
-    b.info[n].category = CostCategory::Assembly;
-    b.info[n].n_components = die_count;
-    for (std::size_t c = 0; c < n_dies; ++c) {
-      b.info[n].comp[c] = {1, CostCategory::Chips};
-    }
-    for (std::size_t w = 0; w < lanes; ++w) {
-      const ProductionData& pd = *pts[w].pd;
-      b.cost[n][w] = pd.bond_cost * die_count;
-      for (std::size_t c = 0; c < n_dies; ++c) {
-        b.comp_unit_cost[n][c][w] = pd.dies[c].cost;
-      }
-      const ProductionData* prev = w > 0 ? pts[w - 1].pd : nullptr;
-      bool reuse = prev && pd.bond_yield == prev->bond_yield;
-      for (std::size_t c = 0; reuse && c < n_dies; ++c) {
-        reuse = pd.dies[c].yield == prev->dies[c].yield &&
-                pd.dies[c].kgd_escape == prev->dies[c].kgd_escape;
-      }
-      if (reuse) {
-        b.lambda[n][w] = b.lambda[n][w - 1];
-      } else {
-        double lam = moe::fault_intensity(PerJointYield{pd.bond_yield, die_count});
-        for (const DieSpec& d : pd.dies) {
-          lam += component_lambda(kgd_escaped_yield(d.yield, d.kgd_escape), 1);
-        }
-        b.lambda[n][w] = lam;
-      }
-    }
-    ++n;
-  }
-
-  // --- SMD passives (on the carrier and/or the laminate) ---
-  const auto fill_smd = [&](int at) {
-    b.info[at] = FlatStepInfo{};
-    b.info[at].category = CostCategory::Assembly;
-    b.info[at].n_components = 1;
-    b.info[at].comp[0] = {m0.smd_count, CostCategory::Passives};
-    for (std::size_t w = 0; w < lanes; ++w) {
-      const ProductionData& pd = *pts[w].pd;
-      const CompiledCostModel& m = *pts[w].model;
-      b.cost[at][w] = pd.smd_assembly_cost * m.smd_count;
-      b.comp_unit_cost[at][0][w] = m.smd_parts_cost / m.smd_count;
-      if (w > 0 && pd.smd_assembly_yield == pts[w - 1].pd->smd_assembly_yield &&
-          pd.semantics == pts[w - 1].pd->semantics) {
-        b.lambda[at][w] = b.lambda[at][w - 1];
-      } else {
-        double lam =
-            moe::fault_intensity(step_yield(pd.smd_assembly_yield, m.smd_count, pd.semantics));
-        lam += component_lambda(1.0, m.smd_count);
-        b.lambda[at][w] = lam;
-      }
-    }
-  };
-  if (m0.smd_on_carrier) fill_smd(n++);
-
-  // --- functional test before packaging ---
-  if (pts[0].pd->functional_test_coverage > 0.0) {
-    b.info[n] = FlatStepInfo{};
-    b.info[n].is_test = true;
-    b.info[n].category = CostCategory::Test;
-    for (std::size_t w = 0; w < lanes; ++w) {
-      const ProductionData& pd = *pts[w].pd;
-      check_coverage(pd.functional_test_coverage);
-      b.cost[n][w] = pd.functional_test_cost;
-      b.coverage[n][w] = pd.functional_test_coverage;
-    }
-    ++n;
-  }
-
-  // --- packaging ---
-  if (m0.uses_laminate) {
-    b.info[n] = FlatStepInfo{};
-    b.info[n].category = CostCategory::Packaging;
-    for (std::size_t w = 0; w < lanes; ++w) {
-      const ProductionData& pd = *pts[w].pd;
-      b.cost[n][w] = pd.packaging_cost;
-      b.lambda[n][w] = w > 0 && pd.packaging_yield == pts[w - 1].pd->packaging_yield
-                           ? b.lambda[n][w - 1]
-                           : moe::fault_intensity(FixedYield{pd.packaging_yield});
-    }
-    ++n;
-    if (m0.smd_count > 0 && m0.smd_on_laminate) fill_smd(n++);
-  }
-
-  // --- final test ---
-  b.info[n] = FlatStepInfo{};
-  b.info[n].is_test = true;
-  b.info[n].category = CostCategory::Test;
-  for (std::size_t w = 0; w < lanes; ++w) {
-    const ProductionData& pd = *pts[w].pd;
-    check_coverage(pd.final_test_coverage);
-    b.cost[n][w] = pd.final_test_cost;
-    b.coverage[n][w] = pd.final_test_coverage;
-  }
-  ++n;
-  b.n_steps = n;
-}
-
-// Step sequence the kernel iterates: plain indices into the batch planes.
-struct LaneStepsView {
-  int n_steps = 0;
-  std::size_t size() const { return static_cast<std::size_t>(n_steps); }
-  std::size_t operator[](std::size_t i) const { return i; }
-};
-
 // Ledger-capturing, no-rework instantiation of the shared walk kernel,
-// reading one lane of the SoA planes.  Test-step exponentials go through
-// the group's shared caches: the kernel calls exp_value exactly once per
-// test step and lanes traverse identical structure, so the k-th call of
-// every lane is the same test step and hits the same cache slot.
+// reading one lane's flat steps.  Test-step exponentials go through the
+// batch's shared caches: the kernel calls exp_value exactly once per test
+// step, so the k-th call of every lane lands in slot k, and lanes of one
+// build-up put the same test step there.
 struct CompiledWalkPolicy {
-  const FlatBatch& b;
-  std::size_t lane;
+  const FlatStep* steps;
   ExpCache* test_exp;  // one slot per test step, shared across lanes
   Ledger spend;
   Ledger unit_acc;
 
-  bool is_test(std::size_t i) const { return b.info[i].is_test; }
-  double coverage(std::size_t i) const { return b.coverage[i][lane]; }
+  bool is_test(std::size_t i) const { return steps[i].kind == StepKind::Test; }
+  double coverage(std::size_t i) const { return steps[i].coverage; }
 
   void book_test(std::size_t i, double alive) {
-    const double cost = b.cost[i][lane];
+    const double cost = steps[i].cost;
     spend.add(CostCategory::Test, alive * cost);
     unit_acc.add(CostCategory::Test, cost);
   }
@@ -503,29 +449,32 @@ struct CompiledWalkPolicy {
   }
 
   void book_step(std::size_t i, double alive) {
-    const FlatStepInfo& s = b.info[i];
-    const double step_cost = b.cost[i][lane];
-    spend.add(s.category, alive * step_cost);
-    unit_acc.add(s.category, step_cost);
-    for (int c = 0; c < s.n_components; ++c) {
-      const double unit_cost = b.comp_unit_cost[i][c][lane];
-      spend.add(s.comp[c].category, alive * unit_cost * s.comp[c].count);
-      unit_acc.add(s.comp[c].category, unit_cost * s.comp[c].count);
+    const FlatStep& s = steps[i];
+    spend.add(s.category, alive * s.cost);
+    unit_acc.add(s.category, s.cost);
+    for (int c = 0; c < s.n_lots; ++c) {
+      const FlatLot& l = s.lot[c];
+      spend.add(l.category, alive * l.unit_cost * l.count);
+      unit_acc.add(l.category, l.unit_cost * l.count);
     }
   }
 
-  double added_lambda(std::size_t i) const { return b.lambda[i][lane]; }
+  double added_lambda(std::size_t i) const { return steps[i].lambda; }
 };
 
-void evaluate_lane_group(const CostEvalPoint* pts, std::size_t lanes, CostSummary* out) {
-  FlatBatch b;
-  build_flat_batch(pts, lanes, b);
+}  // namespace
+
+void evaluate_compiled_cost_batch(const CostEvalPoint* points, std::size_t n,
+                                  CostSummary* out) {
+  LaneSink sink;
   ExpCache test_exp[kMaxFlatSteps];
   ExpCache escape_exp;  // the epilogue's exp(-lambda)
-  for (std::size_t w = 0; w < lanes; ++w) {
-    CompiledWalkPolicy walk{b, w, test_exp, {}, {}};
-    const WalkOutcome wo = walk_flow_steps(LaneStepsView{b.n_steps}, walk);
-    const ProductionData& pd = *pts[w].pd;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ProductionData& pd = *points[i].pd;
+    sink.n_steps = 0;
+    emit_flow(*points[i].model, pd, sink);
+    CompiledWalkPolicy walk{sink.steps, test_exp, {}, {}};
+    const WalkOutcome wo = walk_flow_steps(LaneStepsView{sink.n_steps}, walk);
 
     CostSummary r;
     r.volume = pd.volume;
@@ -542,38 +491,7 @@ void evaluate_lane_group(const CostEvalPoint* pts, std::size_t lanes, CostSummar
     r.final_cost_per_shipped = (walk.spend.total() + nre / pd.volume) / wo.alive;
     r.yield_loss_per_shipped =
         r.final_cost_per_shipped - r.direct_cost - r.nre_per_shipped;
-    out[w] = r;
-  }
-}
-
-// Two lanes can share one structural skeleton when every branch the builder
-// takes is the same: model flags, the model-derived component counts, and
-// the presence of the functional test.
-bool same_flow_structure(const CostEvalPoint& a, const CostEvalPoint& b) {
-  const CompiledCostModel& ma = *a.model;
-  const CompiledCostModel& mb = *b.model;
-  return ma.integrated_passive_steps == mb.integrated_passive_steps &&
-         ma.wire_bonded == mb.wire_bonded && ma.bond_count == mb.bond_count &&
-         ma.smd_count == mb.smd_count && ma.smd_on_carrier == mb.smd_on_carrier &&
-         ma.uses_laminate == mb.uses_laminate &&
-         ma.smd_on_laminate == mb.smd_on_laminate &&
-         a.pd->dies.size() == b.pd->dies.size() &&
-         (a.pd->functional_test_coverage > 0.0) == (b.pd->functional_test_coverage > 0.0);
-}
-
-}  // namespace
-
-void evaluate_compiled_cost_batch(const CostEvalPoint* points, std::size_t n,
-                                  CostSummary* out) {
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t end = i + 1;
-    while (end < n && end - i < kCostBatchLanes &&
-           same_flow_structure(points[i], points[end])) {
-      ++end;
-    }
-    evaluate_lane_group(points + i, end - i, out + i);
-    i = end;
+    out[i] = r;
   }
 }
 

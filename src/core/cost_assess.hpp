@@ -15,6 +15,8 @@ namespace ipass::core {
 
 // Construct the production flow for a build-up whose area assessment is
 // already known (the substrate cost depends on the substrate area).
+// Throws PreconditionError for SMDs on the laminate of a build-up that
+// uses none (smd_on_laminate without uses_laminate).
 moe::FlowModel build_flow(const AreaResult& area, const BuildUp& buildup);
 
 struct CostAssessment {
@@ -31,19 +33,20 @@ moe::McReport assess_cost_monte_carlo(const AreaResult& area, const BuildUp& bui
 
 // ---------------------------------------------------------------------------
 // Batched path: everything build_flow() derives from sources *other* than
-// the build-up's ProductionData, captured once.  A parameter sweep then
-// re-costs the same physical build-up under W different ProductionData
-// vectors without reconstructing a FlowModel (no strings, no vectors, no
-// per-evaluation allocation at all).
+// the build-up's ProductionData, captured once.  build_flow() itself is
+// this model plus the build-up's names, so both paths emit their steps
+// from one flow description (emit_flow in cost_assess.cpp).  A parameter
+// sweep then re-costs the same physical build-up under W different
+// ProductionData vectors without reconstructing a FlowModel (no strings,
+// no vectors, no per-evaluation allocation at all).
 struct CompiledCostModel {
   double substrate_cost = 0.0;      // mm2_to_cm2(substrate area) * cost/cm2
   double substrate_fab_yield = 1.0;
   bool integrated_passive_steps = false;  // the structural Fig-4 steps
-  bool wire_bonded = false;
-  int bond_count = 0;
+  tech::DieAttach die_attach = tech::DieAttach::PackagedSmt;
+  int bond_count = 0;               // wire bonds; 0 unless wire-bonded
   int smd_count = 0;
   double smd_parts_cost = 0.0;
-  bool smd_on_carrier = false;
   bool uses_laminate = false;
   bool smd_on_laminate = false;
 };
@@ -74,29 +77,26 @@ struct CostSummary {
 CostSummary evaluate_compiled_cost(const CompiledCostModel& model, const ProductionData& pd);
 
 // ---------------------------------------------------------------------------
-// SoA-batched walk: cost W (model, production-data) lanes per call.
+// Batched walk: cost W (model, production-data) lanes per call.
 //
-// Lanes whose flattened flows share the same step structure are built into
-// lane-major SoA planes (field[step][lane], mirroring the layout of
-// rf::batch_solve_overwrite) and walked one lane at a time through the
-// shared flow-walk kernel — so every lane is bit-identical to its scalar
-// evaluate_compiled_cost() call, and the batch split never changes a bit.
+// Each lane's flow is emitted by the same emitter as build_flow() into a
+// fixed-size step array and walked through the shared flow-walk kernel —
+// so every lane is bit-identical to its scalar evaluate_compiled_cost()
+// call, and the batch split never changes a bit.  The lanes of a call
+// share memoized log/exp results, keyed on exact argument bits.
 
-// Maximum lanes one SoA plane set holds: the assessment pipeline's chunk
-// width.  Larger batches are processed in groups of this many.
+// The assessment pipeline's chunk width: how many points it hands to one
+// batched call.
 inline constexpr std::size_t kCostBatchLanes = 8;
 
 // One lane of a batched evaluation.  Models may differ across lanes (a
-// sensitivity sweep perturbs the compiled substrate cost/yield per lane);
-// consecutive lanes with equal flow structure share one plane build.
+// sensitivity sweep perturbs the compiled substrate cost/yield per lane).
 struct CostEvalPoint {
   const CompiledCostModel* model = nullptr;
   const ProductionData* pd = nullptr;
 };
 
-// Cost `n` lanes, writing out[i] for points[i].  Any n is accepted; lanes
-// are grouped into runs of at most kCostBatchLanes with identical step
-// structure.
+// Cost `n` lanes, writing out[i] for points[i].  Any n is accepted.
 void evaluate_compiled_cost_batch(const CostEvalPoint* points, std::size_t n,
                                   CostSummary* out);
 

@@ -22,7 +22,7 @@ struct ProfileMetrics {
   metrics::Histogram& mna_sweeps;     // assess_performance (MNA sweeps)
   metrics::Histogram& area;           // assess_area
   metrics::Histogram& cost_flatten;   // compile_cost_model
-  metrics::Histogram& batch_walk;     // evaluate() SoA batch walk
+  metrics::Histogram& batch_walk;     // evaluate() batch walk
 
   static ProfileMetrics& instance() {
     auto& r = metrics::global_metrics();
@@ -153,7 +153,7 @@ void AssessmentPipeline::evaluate_chunk(const AssessmentInputs* points, std::siz
   const std::size_t n = study.buildups.size();
 
   // Cost the chunk build-up by build-up: the chunk's points form the lanes
-  // of one SoA batch walk (out is point-major, so lane w's summary lands at
+  // of one batch walk (out is point-major, so lane w's summary lands at
   // out[w * n + b]).  All mutable state is on this stack frame — the shared
   // CompiledStudy is only read, so any number of threads (and any number of
   // pipelines wrapping the same study) can run chunks concurrently.
@@ -217,7 +217,7 @@ BatchAssessmentResult AssessmentPipeline::evaluate(
   out.winners.resize(points.size());
   if (points.empty()) return out;
 
-  // Chunked fan-out; each worker costs its whole chunk through the SoA
+  // Chunked fan-out; each worker costs its whole chunk through the
   // batch walk (the chunk's points are the lanes).  Every output slot
   // depends only on its own point and every lane is bit-identical to its
   // scalar evaluation, so the thread count, the chunking AND the way a

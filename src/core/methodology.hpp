@@ -110,7 +110,7 @@ enum class PipelineScope { Full, CostOnly };
 
 // The immutable compile artifact of a study: performance and area resolved
 // per build-up (the MNA sweeps), each production flow flattened into a
-// CompiledCostModel.  Everything per-request — parameter vectors, SoA
+// CompiledCostModel.  Everything per-request — parameter vectors, batch
 // lanes, summaries — lives on the evaluator's stack, so one CompiledStudy
 // can be shared (shared_ptr, e.g. from serve's keyed LRU cache) by any
 // number of concurrent evaluations without synchronization.
@@ -160,7 +160,7 @@ class AssessmentPipeline {
                                  unsigned threads = 0) const;
 
  private:
-  // Cost `count` consecutive points (one SoA lane batch per build-up) and
+  // Cost `count` consecutive points (one lane batch per build-up) and
   // score them; out is point-major (count * buildup_count summaries).
   void evaluate_chunk(const AssessmentInputs* points, std::size_t count,
                       BuildUpSummary* out, std::size_t* winners) const;

@@ -43,15 +43,13 @@ std::vector<double> ScenarioGrid::volume_sweep(std::size_t n, double lo, double 
 namespace {
 
 // A production flow flattened for repeated corner evaluation: everything
-// evaluate_analytic reads per step, as plain numbers.
+// evaluate_analytic reads per step, as plain numbers.  The flows come from
+// build_flow, which never sets a rework policy, so rework is not carried.
 struct CompiledStep {
   bool is_test = false;
   double cost = 0.0;      // direct cost booked per alive unit (incl. components)
   double lambda = 0.0;    // fault intensity added (non-test)
   double coverage = 0.0;  // test only
-  bool rework = false;
-  double rework_cost = 0.0;
-  double rework_success = 0.0;
 };
 
 struct CompiledFlow {
@@ -69,9 +67,6 @@ CompiledFlow compile_flow(const moe::FlowModel& flow) {
       cs.is_test = true;
       cs.cost = s.cost;
       cs.coverage = s.fault_coverage;
-      cs.rework = s.on_fail.rework;
-      cs.rework_cost = s.on_fail.rework_cost;
-      cs.rework_success = s.on_fail.rework_success;
     } else {
       cs.cost = s.cost + s.cost_per_component * s.component_count() + s.component_cost();
       cs.lambda = s.added_fault_intensity();
@@ -83,8 +78,7 @@ CompiledFlow compile_flow(const moe::FlowModel& flow) {
 
 // Volume-independent outcome of one (build-up, corner) pair, per started
 // unit.  The walk is the shared kernel with the corner's scalings applied:
-// fault_scale on every injected intensity, cost_scale on every direct cost
-// (rework included).
+// fault_scale on every injected intensity, cost_scale on every direct cost.
 struct CornerOutcome {
   double spend = 0.0;  // expected spend per started unit
   double alive = 0.0;  // shipped fraction
@@ -106,11 +100,8 @@ struct CornerWalkPolicy {
 
   static double exp_value(double x) { return std::exp(x); }
 
-  double rework(const CompiledStep& s, double detected) {
-    if (!s.rework || !(detected > 0.0)) return 0.0;
-    spend += detected * (corner.cost_scale * s.rework_cost);
-    return detected * s.rework_success;
-  }
+  // build_flow flows never rework.
+  static double rework(const CompiledStep& /*s*/, double /*detected*/) { return 0.0; }
 
   void on_scrapped(double /*scrapped*/) {}
 

@@ -85,11 +85,14 @@ core::ProductionData corner_production(core::ProductionData pd,
 
 // CompiledCostModel holds what build_flow derives from sources other than
 // ProductionData; the corner touches its three monetary/yield knobs and
-// deliberately leaves the seven structural fields (flags and counts)
-// alone.  The count below is asserted so a new CompiledCostModel member
-// forces a decision here, mirroring the field-table guard above.
+// deliberately leaves the six structural fields alone.  Those (die_attach,
+// the step flags, bond_count and smd_count) decide which steps the flow
+// has and how many lots they carry, and a corner scales costs and yields,
+// never the flow's shape: corner_model scales neither die_attach nor
+// bond_count.  The count below is asserted so a new CompiledCostModel
+// member forces a decision here, mirroring the field-table guard above.
 static_assert(ipass::core::detail::aggregate_field_count<core::CompiledCostModel>() ==
-                  10,
+                  9,
               "CompiledCostModel gained a member: decide whether corner_model "
               "must scale it, then update this count");
 

@@ -131,8 +131,9 @@ void validate_kit(const ProcessKit& kit) {
     check(v.policy == core::PassivePolicy::AllSmd || kit.substrate.supports_integrated_passives,
           strf("%s/%s", kit.name.c_str(), v.name.c_str()), "policy",
           "needs integrated passives the substrate cannot host");
-    // Without a laminate there is nowhere to mount laminate-side SMDs;
-    // build_flow would silently drop the SMD step and its parts cost.
+    // Without a laminate there is nowhere to mount laminate-side SMDs.
+    // The flow emitter refuses such a build-up too; checking here names the
+    // kit and variant at load time.
     check(!v.smd_on_laminate || v.uses_laminate,
           strf("%s/%s", kit.name.c_str(), v.name.c_str()), "smd_on_laminate",
           "requires uses_laminate");

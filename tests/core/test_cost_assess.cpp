@@ -1,10 +1,14 @@
 #include "core/cost_assess.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "gps/bom.hpp"
 #include "gps/casestudy.hpp"
@@ -107,6 +111,29 @@ TEST(CostAssess, YieldSemanticsMatter) {
       assess_cost(fx.area(per_joint), per_joint).report.final_cost_per_shipped;
   // 212 bonds and 112 placements at per-joint yields scrap more units.
   EXPECT_GT(c_joint, c_step);
+}
+
+// SMDs meant for the laminate of a build-up without one have nowhere to
+// go: both engines must refuse the build-up by name instead of silently
+// dropping the SMD step and its parts cost.
+TEST(CostAssess, LaminateSmdsWithoutLaminateAreRejected) {
+  Fixture fx;
+  BuildUp b = gps::buildup_mcm_wb_smd(fx.cc);
+  b.smd_on_laminate = true;
+  b.uses_laminate = false;
+  const AreaResult area = fx.area(b);
+  ASSERT_GT(area.bom.smd_placement_count(), 0);
+  const auto expect_named = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "expected a PreconditionError";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("smd_on_laminate"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named([&] { build_flow(area, b); });
+  expect_named([&] { evaluate_compiled_cost(compile_cost_model(area, b), b.production); });
 }
 
 TEST(CostAssess, MonteCarloMatchesAnalytic) {
@@ -232,6 +259,147 @@ TEST(CostAssessBatch, SplitInvariance) {
   }
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_TRUE(summary_bits_equal(whole[i], sliced[i])) << "lane " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Every branch of the flow emitter on every engine: integrated-passive
+// steps, die attach, die count, SMD placement, laminate and functional test
+// in every valid combination.  The compiled walk must reproduce the
+// analytic FlowModel report to the bit, and one shuffled batch over all
+// combinations must reproduce the per-lane results: the batch shares its
+// lambda memo and exp caches between lanes of different step structure.
+
+enum class SmdPlace { None, Carrier, Laminate };
+
+struct EmitterCase {
+  BuildUp buildup;
+  AreaResult area;
+  std::string label;
+};
+
+std::vector<EmitterCase> every_emitter_branch(const Fixture& fx) {
+  const BuildUp base = gps::buildup_mcm_fc_ip_smd(fx.cc);
+  const AreaResult with_smds = fx.area(base);
+  AreaResult without_smds = with_smds;
+  auto& parts = without_smds.bom.components;
+  parts.erase(std::remove_if(parts.begin(), parts.end(),
+                             [](const ComponentInstance& c) { return c.mount == Mount::Smd; }),
+              parts.end());
+
+  Pcg32 rng(4);
+  std::vector<EmitterCase> cases;
+  for (const bool ip : {false, true}) {
+    for (const tech::DieAttach attach : {tech::DieAttach::PackagedSmt, tech::DieAttach::WireBond,
+                                         tech::DieAttach::FlipChip}) {
+      for (const std::size_t dies : {std::size_t{0}, std::size_t{1}, kMaxProductionDies}) {
+        for (const SmdPlace smd : {SmdPlace::None, SmdPlace::Carrier, SmdPlace::Laminate}) {
+          for (const bool laminate : {false, true}) {
+            if (smd == SmdPlace::Laminate && !laminate) continue;  // rejected, see above
+            for (const bool functional : {false, true}) {
+              EmitterCase c;
+              BuildUp& b = c.buildup;
+              b = base;
+              b.substrate.supports_integrated_passives = ip;
+              b.die_attach = attach;
+              b.uses_laminate = laminate;
+              b.smd_on_laminate = smd == SmdPlace::Laminate;
+              ProductionData& pd = b.production;
+              pd.semantics =
+                  cases.size() % 2 ? YieldSemantics::PerJoint : YieldSemantics::PerStep;
+              pd.functional_test_cost = functional ? 3.5 : 0.0;
+              pd.functional_test_coverage = functional ? 0.7 : 0.0;
+              pd.packaging_cost = 2.25;
+              pd.packaging_yield = 0.995;
+              pd.bond_cost = 0.4;
+              pd.bond_yield = 0.998;
+              for (std::size_t d = 0; d < dies; ++d) {
+                pd.dies.push_back({"chiplet " + std::to_string(d), 6.0 + d, 0.97 - 0.01 * d,
+                                   0.25 * d, d % 2 ? 0.5 : 1.0, 1000.0 * d});
+              }
+              // Each yield moves in half the cases, independently, so that
+              // neighbouring lanes of the shuffled batch below share some
+              // yield inputs of a step and differ in others.
+              const auto vary = [&](double& yield, double lo) {
+                if (rng.bernoulli(0.5)) yield = rng.uniform(lo, 1.0);
+              };
+              vary(b.substrate.fab_yield, 0.85);
+              vary(pd.rf_chip_yield, 0.9);
+              vary(pd.dsp_yield, 0.9);
+              vary(pd.chip_assembly_yield, 0.95);
+              vary(pd.wire_bond_yield, 0.999);
+              vary(pd.smd_assembly_yield, 0.99);
+              vary(pd.packaging_yield, 0.95);
+              vary(pd.bond_yield, 0.99);
+              for (DieSpec& d : pd.dies) {
+                vary(d.yield, 0.9);
+                vary(d.kgd_escape, 0.0);
+              }
+              c.area = smd == SmdPlace::None ? without_smds : with_smds;
+              c.label = std::string(ip ? "ip" : "no-ip") + "/" +
+                        tech::die_attach_name(attach) + "/dies " + std::to_string(dies) +
+                        "/smd " + std::to_string(static_cast<int>(smd)) +
+                        (laminate ? "/laminate" : "") + (functional ? "/functional" : "");
+              cases.push_back(std::move(c));
+            }
+          }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(CostAssessEmitter, EveryBranchAgreesAcrossEngines) {
+  Fixture fx;
+  const std::vector<EmitterCase> cases = every_emitter_branch(fx);
+  ASSERT_EQ(cases.size(), 180u);
+
+  std::vector<CompiledCostModel> models;
+  std::vector<CostSummary> scalar;
+  models.reserve(cases.size());
+  for (const EmitterCase& c : cases) {
+    const moe::CostReport a = moe::evaluate_analytic(build_flow(c.area, c.buildup));
+    models.push_back(compile_cost_model(c.area, c.buildup));
+    const CostSummary s = evaluate_compiled_cost(models.back(), c.buildup.production);
+    scalar.push_back(s);
+    const std::pair<double, double> fields[] = {
+        {a.volume, s.volume},
+        {a.shipped_fraction, s.shipped_fraction},
+        {a.shipped_units, s.shipped_units},
+        {a.good_fraction, s.good_fraction},
+        {a.escaped_defect_rate, s.escaped_defect_rate},
+        {a.direct_cost, s.direct_cost},
+        {a.chip_cost_direct(), s.chip_cost_direct},
+        {a.yield_loss_per_shipped, s.yield_loss_per_shipped},
+        {a.nre_per_shipped, s.nre_per_shipped},
+        {a.final_cost_per_shipped, s.final_cost_per_shipped},
+        {a.total_spend_per_started, s.total_spend_per_started},
+    };
+    static_assert(sizeof fields / sizeof fields[0] * sizeof(double) == sizeof(CostSummary),
+                  "CostSummary gained a member; compare it here too");
+    for (std::size_t f = 0; f < sizeof fields / sizeof fields[0]; ++f) {
+      EXPECT_TRUE(bits_equal(fields[f].first, fields[f].second))
+          << c.label << " field " << f << ": " << fields[f].first << " vs "
+          << fields[f].second;
+    }
+  }
+
+  // One batch over every combination, shuffled so structures interleave.
+  std::vector<std::size_t> order(cases.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Pcg32 rng(18);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_u32() % i]);
+  }
+  std::vector<CostEvalPoint> lanes;
+  for (const std::size_t i : order) lanes.push_back({&models[i], &cases[i].buildup.production});
+  std::vector<CostSummary> batch(lanes.size());
+  evaluate_compiled_cost_batch(lanes.data(), lanes.size(), batch.data());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    EXPECT_TRUE(summary_bits_equal(batch[k], scalar[order[k]])) << cases[order[k]].label;
   }
 }
 

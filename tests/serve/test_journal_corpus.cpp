@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string>
 
 #include "common/error.hpp"
@@ -19,9 +20,10 @@ std::string corpus_path(const char* name) {
   return std::string(IPASS_SERVE_LOG_DIR) + "/journal_corpus/" + name;
 }
 
-// CTest names each case "<name>  # GetParam() = <raw bytes of the param>".
-// The case structs lead with plain values and keep the file path last, so the
-// head of that name does not depend on where the loader maps the path literal.
+// CTest names each case "<name>  # GetParam() = <the param as printed>".
+// Each case struct has a PrintTo: without one, gtest prints the raw bytes,
+// including the address of the path literal, which moves on every build.
+// The printed form has no spaces, so a name cut at any length ends the same.
 
 // Recovered corpus: scan succeeds; the valid prefix and the truncation are
 // exactly as crafted.
@@ -32,6 +34,12 @@ struct RecoveredCase {
   bool truncation;              // torn/corrupt tail present
   const char* file;
 };
+
+void PrintTo(const RecoveredCase& c, std::ostream* os) {
+  *os << c.file << "{records=" << c.records << ",committed=" << c.committed
+      << ",uncommitted=" << c.uncommitted << ",truncation=" << (c.truncation ? "yes" : "no")
+      << "}";
+}
 
 class JournalCorpusRecovered : public ::testing::TestWithParam<RecoveredCase> {};
 
@@ -64,6 +72,10 @@ struct RejectedCase {
   const char* file;
   const char* needle;  // must appear in the error message
 };
+
+void PrintTo(const RejectedCase& c, std::ostream* os) {
+  *os << c.file << "{code=" << error_code_name(c.code) << "}";
+}
 
 class JournalCorpusRejected : public ::testing::TestWithParam<RejectedCase> {};
 
