@@ -492,7 +492,7 @@ void BM_ServeRequestCached(benchmark::State& state) {
 BENCHMARK(BM_ServeRequestCached)->UseRealTime();
 
 // The cached request with the full observability stack on: per-request
-// stage tracing into the ring, global counters and latency histograms,
+// stage tracing into the ring, the service's counters and latency histograms,
 // engine profiling hooks enabled, and a slow-request threshold armed (high
 // enough never to fire, so the stderr path's enabled-check is measured, not
 // the log itself).  The metrics/cached ratio is the observability tax the

@@ -1,14 +1,21 @@
-// Process-wide metrics registry: atomic counters, gauges with high-water
-// tracking, and fixed-bucket log2 latency histograms, snapshot-able to JSON
-// (jsonfmt) and to the Prometheus text exposition format.
+// Metrics registry: atomic counters, gauges with high-water tracking, and
+// fixed-bucket log2 latency histograms, snapshot-able to JSON (jsonfmt) and
+// to the Prometheus text exposition format.
+//
+// Ownership: the serving stack (service, study cache, journal, socket
+// server) records only into the registry it is given at construction — one
+// counter per concept, read by both the stats probe and the dump.  A service
+// given none owns a fresh registry, so in-process services never mix their
+// numbers; the ipass_serve daemon passes global_metrics().  The engine
+// profiling histograms stay process-wide in global_metrics().
 //
 // Hot-path contract: recording is allocation-free and lock-free — a counter
 // add is one relaxed atomic fetch_add, a histogram record is three.  The
 // registry mutex is only taken when a metric is *named* (registration) or
 // *snapshot*, both of which happen off the request path: instrumented
-// components resolve their `Counter&`/`Histogram&` once (constructor or
-// function-local static) and hold the reference, which stays valid for the
-// life of the registry (entries are never removed).
+// components resolve their `Counter&`/`Histogram&` once (in their
+// constructor) and hold the reference, which stays valid for the life of
+// the registry (entries are never removed).
 //
 // Observability vs determinism: metrics are strictly write-only from the
 // serving stack's point of view — wall-clock time flows INTO histograms and
@@ -155,8 +162,9 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
-// The process-wide registry the serving stack and the profiling hooks
-// record into (what `ipass_serve --metrics` dumps).
+// The process-wide registry: the engine profiling hooks record into it, and
+// the ipass_serve daemon hands it to its server (what `ipass_serve
+// --metrics` dumps).
 MetricsRegistry& global_metrics();
 
 // ---------------------------------------------------------------- profiling

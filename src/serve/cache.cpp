@@ -1,38 +1,19 @@
 #include "serve/cache.hpp"
 
 #include "common/error.hpp"
-#include "common/metrics.hpp"
 
 namespace ipass::serve {
 
-namespace {
+CacheMetrics::CacheMetrics(metrics::MetricsRegistry& registry)
+    : hits(registry.counter("serve_cache_hits_total")),
+      misses(registry.counter("serve_cache_misses_total")),
+      waits(registry.counter("serve_cache_waits_total")),
+      evictions(registry.counter("serve_cache_evictions_total")),
+      failures(registry.counter("serve_cache_failures_total")) {}
 
-// Process-wide mirrors of the per-cache Stats: every CompiledStudyCache in
-// the process feeds the same counters, so the metrics dump aggregates cache
-// behavior across service instances (counters are monotone; per-instance
-// numbers stay available through stats()).
-struct CacheMetrics {
-  metrics::Counter& hits;
-  metrics::Counter& misses;
-  metrics::Counter& waits;
-  metrics::Counter& evictions;
-  metrics::Counter& failures;
-
-  static CacheMetrics& instance() {
-    static CacheMetrics m{
-        metrics::global_metrics().counter("serve_cache_hits_total"),
-        metrics::global_metrics().counter("serve_cache_misses_total"),
-        metrics::global_metrics().counter("serve_cache_waits_total"),
-        metrics::global_metrics().counter("serve_cache_evictions_total"),
-        metrics::global_metrics().counter("serve_cache_failures_total"),
-    };
-    return m;
-  }
-};
-
-}  // namespace
-
-CompiledStudyCache::CompiledStudyCache(std::size_t capacity) : capacity_(capacity) {
+CompiledStudyCache::CompiledStudyCache(std::size_t capacity,
+                                       metrics::MetricsRegistry& registry)
+    : capacity_(capacity), metrics_(registry) {
   require(capacity >= 1, "CompiledStudyCache: capacity must be at least 1");
 }
 
@@ -43,8 +24,7 @@ std::shared_ptr<const core::CompiledStudy> CompiledStudyCache::get_or_compile(
     std::unique_lock<std::mutex> lk(m_);
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
-      ++stats_.hits;
-      CacheMetrics::instance().hits.add();
+      metrics_.hits.add();
       if (outcome != nullptr) *outcome = CacheOutcome::Hit;
       it->second.last_used = ++tick_;
       return it->second.study;
@@ -53,8 +33,7 @@ std::shared_ptr<const core::CompiledStudy> CompiledStudyCache::get_or_compile(
     if (fit != inflight_.end()) {
       // Single-flight: someone else is compiling this key — wait for their
       // result instead of compiling it again.
-      ++stats_.waits;
-      CacheMetrics::instance().waits.add();
+      metrics_.waits.add();
       if (outcome != nullptr) *outcome = CacheOutcome::Wait;
       flight = fit->second;
       lk.unlock();
@@ -63,8 +42,7 @@ std::shared_ptr<const core::CompiledStudy> CompiledStudyCache::get_or_compile(
       if (flight->error) std::rethrow_exception(flight->error);
       return flight->study;
     }
-    ++stats_.misses;
-    CacheMetrics::instance().misses.add();
+    metrics_.misses.add();
     if (outcome != nullptr) *outcome = CacheOutcome::Miss;
     flight = std::make_shared<Inflight>();
     inflight_[key] = flight;
@@ -87,8 +65,7 @@ std::shared_ptr<const core::CompiledStudy> CompiledStudyCache::get_or_compile(
       entries_[key] = Entry{study, ++tick_};
       trim_locked();
     } else {
-      ++stats_.failures;
-      CacheMetrics::instance().failures.add();
+      metrics_.failures.add();
     }
   }
   {
@@ -107,8 +84,7 @@ bool CompiledStudyCache::evict(const std::string& key) {
   std::lock_guard<std::mutex> lk(m_);
   const bool existed = entries_.erase(key) > 0;
   if (existed) {
-    ++stats_.evictions;
-    CacheMetrics::instance().evictions.add();
+    metrics_.evictions.add();
   }
   return existed;
 }
@@ -118,11 +94,6 @@ std::size_t CompiledStudyCache::size() const {
   return entries_.size();
 }
 
-CompiledStudyCache::Stats CompiledStudyCache::stats() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return stats_;
-}
-
 void CompiledStudyCache::trim_locked() {
   while (entries_.size() > capacity_) {
     auto lru = entries_.begin();
@@ -130,8 +101,7 @@ void CompiledStudyCache::trim_locked() {
       if (it->second.last_used < lru->second.last_used) lru = it;
     }
     entries_.erase(lru);
-    ++stats_.evictions;
-    CacheMetrics::instance().evictions.add();
+    metrics_.evictions.add();
   }
 }
 

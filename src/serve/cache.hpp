@@ -9,6 +9,10 @@
 // identical studies costs one MNA/area compilation, not N.  A failed
 // compilation is NOT cached: the exception propagates to the compiling
 // request and every waiter, and the next request retries.
+//
+// The cache counts hits, misses, waits, evictions and failures only in the
+// metrics registry it is given; those counters are what the service's stats
+// probe and the registry's dump both read.
 #pragma once
 
 #include <condition_variable>
@@ -19,18 +23,30 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/metrics.hpp"
 #include "core/methodology.hpp"
 #include "serve/trace.hpp"
 
 namespace ipass::serve {
+
+// The cache's counters, resolved once from a registry (serve_cache_*_total).
+struct CacheMetrics {
+  explicit CacheMetrics(metrics::MetricsRegistry& registry);
+  metrics::Counter& hits;       // served from a ready entry
+  metrics::Counter& misses;     // this caller ran the compile
+  metrics::Counter& waits;      // joined another caller's compile
+  metrics::Counter& evictions;  // LRU + explicit evict() removals
+  metrics::Counter& failures;   // compiles that threw
+};
 
 class CompiledStudyCache {
  public:
   using Compile = std::function<std::shared_ptr<const core::CompiledStudy>()>;
 
   // At most `capacity` ready entries are retained (least recently used
-  // evicted first).  capacity must be >= 1.
-  explicit CompiledStudyCache(std::size_t capacity);
+  // evicted first).  capacity must be >= 1.  Counts into `registry`, which
+  // must outlive the cache.
+  CompiledStudyCache(std::size_t capacity, metrics::MetricsRegistry& registry);
 
   CompiledStudyCache(const CompiledStudyCache&) = delete;
   CompiledStudyCache& operator=(const CompiledStudyCache&) = delete;
@@ -49,15 +65,7 @@ class CompiledStudyCache {
   bool evict(const std::string& key);
 
   std::size_t size() const;
-
-  struct Stats {
-    std::uint64_t hits = 0;          // served from a ready entry
-    std::uint64_t misses = 0;        // this caller ran the compile
-    std::uint64_t waits = 0;         // joined another caller's compile
-    std::uint64_t evictions = 0;     // LRU + explicit evict() removals
-    std::uint64_t failures = 0;      // compiles that threw
-  };
-  Stats stats() const;
+  const CacheMetrics& metrics() const { return metrics_; }
 
  private:
   struct Entry {
@@ -77,11 +85,11 @@ class CompiledStudyCache {
   void trim_locked();
 
   const std::size_t capacity_;
+  const CacheMetrics metrics_;
   mutable std::mutex m_;
   std::unordered_map<std::string, Entry> entries_;
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
   std::uint64_t tick_ = 0;
-  Stats stats_;
 };
 
 }  // namespace ipass::serve

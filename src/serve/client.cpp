@@ -4,40 +4,9 @@
 #include <thread>
 #include <utility>
 
-#include "common/metrics.hpp"
 #include "common/strfmt.hpp"
 
 namespace ipass::serve {
-
-namespace {
-
-// Process-wide mirrors of the per-client Stats (every ResilientClient feeds
-// the same counters; per-instance numbers stay exact through stats()).
-struct ClientMetrics {
-  metrics::Counter& calls;
-  metrics::Counter& attempts;
-  metrics::Counter& successes;
-  metrics::Counter& failures;
-  metrics::Counter& backoffs;
-  metrics::Counter& breaker_trips;
-  metrics::Counter& breaker_fast_fails;
-
-  static ClientMetrics& instance() {
-    auto& r = metrics::global_metrics();
-    static ClientMetrics m{
-        r.counter("client_calls_total"),
-        r.counter("client_attempts_total"),
-        r.counter("client_successes_total"),
-        r.counter("client_attempt_failures_total"),
-        r.counter("client_backoffs_total"),
-        r.counter("client_breaker_trips_total"),
-        r.counter("client_breaker_fast_fails_total"),
-    };
-    return m;
-  }
-};
-
-}  // namespace
 
 ResilientClient::ResilientClient(std::string host, std::uint16_t port,
                                  RetryPolicy policy, Sleep sleep, Clock clock)
@@ -58,20 +27,17 @@ ResilientClient::ResilientClient(std::string host, std::uint16_t port,
 bool ResilientClient::attempt_once(const std::string& request,
                                    std::string& response) {
   ++stats_.attempts;
-  ClientMetrics::instance().attempts.add();
   if (conn_ == nullptr) {
     try {
       conn_ = std::make_unique<SocketClient>(host_, port_);
     } catch (const std::exception& e) {
       ++stats_.connect_failures;
-      ClientMetrics::instance().failures.add();
       last_failure_ = e.what();
       return false;
     }
   }
   const TransportStatus status = conn_->try_roundtrip(request, response);
   if (status == TransportStatus::Ok) return true;
-  ClientMetrics::instance().failures.add();
   // Connections are single-use after any failure: the stream position is
   // unknown (a torn response may sit half-read), so reconnect from scratch.
   conn_.reset();
@@ -103,7 +69,6 @@ std::uint32_t ResilientClient::next_backoff_ms(unsigned attempt) {
 std::string ResilientClient::call(const std::string& request,
                                   std::int64_t deadline_ms) {
   ++stats_.calls;
-  ClientMetrics::instance().calls.add();
   const auto start = clock_();
   const auto remaining = [&]() -> std::int64_t {
     if (deadline_ms <= 0) return -1;  // no deadline
@@ -119,7 +84,6 @@ std::string ResilientClient::call(const std::string& request,
                            .count();
     if (since < static_cast<std::int64_t>(policy_.breaker_cooldown_ms)) {
       ++stats_.breaker_fast_fails;
-      ClientMetrics::instance().breaker_fast_fails.add();
       throw PreconditionError(
           strf("ResilientClient: circuit breaker open (%u consecutive failures; "
                "%u ms cooldown)",
@@ -132,7 +96,6 @@ std::string ResilientClient::call(const std::string& request,
       breaker_open_ = false;
       consecutive_failures_ = 0;
       ++stats_.successes;
-      ClientMetrics::instance().successes.add();
       return response;
     }
     breaker_opened_at_ = clock_();
@@ -155,7 +118,6 @@ std::string ResilientClient::call(const std::string& request,
     if (attempt_once(request, response)) {
       consecutive_failures_ = 0;
       ++stats_.successes;
-      ClientMetrics::instance().successes.add();
       return response;
     }
     if (policy_.breaker_threshold > 0 &&
@@ -163,7 +125,6 @@ std::string ResilientClient::call(const std::string& request,
       breaker_open_ = true;
       breaker_opened_at_ = clock_();
       ++stats_.breaker_trips;
-      ClientMetrics::instance().breaker_trips.add();
       throw PreconditionError(
           strf("ResilientClient: circuit breaker tripped after %u consecutive "
                "failures (last: %s)",
@@ -179,7 +140,6 @@ std::string ResilientClient::call(const std::string& request,
           std::min<std::int64_t>(backoff, left));
     }
     backoff_log_.push_back(backoff);
-    ClientMetrics::instance().backoffs.add();
     sleep_(std::chrono::milliseconds(backoff));
   }
   throw PreconditionError(

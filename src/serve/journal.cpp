@@ -8,7 +8,6 @@
 
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
-#include "common/metrics.hpp"
 #include "common/strfmt.hpp"
 
 #ifndef _WIN32
@@ -49,29 +48,6 @@ void put_be64(std::string& out, std::uint64_t v) {
 constexpr std::size_t kHeaderBytes = 4;            // length prefix
 constexpr std::size_t kTrailerBytes = 4;           // crc
 constexpr std::size_t kMinRecordLen = 1 + 8;       // type + seq
-
-// Process-wide journal activity, resolved once.  Appended-only counters (the
-// recovered prefix is NOT replayed into them — `truncated` counts torn-tail
-// bytes dropped at open, the one recovery-time signal worth alerting on).
-struct JournalMetrics {
-  metrics::Counter& admits;
-  metrics::Counter& commits;
-  metrics::Counter& bytes;
-  metrics::Counter& fsyncs;
-  metrics::Counter& truncated_bytes;
-
-  static JournalMetrics& instance() {
-    auto& r = metrics::global_metrics();
-    static JournalMetrics m{
-        r.counter("serve_journal_admits_total"),
-        r.counter("serve_journal_commits_total"),
-        r.counter("serve_journal_appended_bytes_total"),
-        r.counter("serve_journal_fsyncs_total"),
-        r.counter("serve_journal_truncated_bytes_total"),
-    };
-    return m;
-  }
-};
 
 }  // namespace
 
@@ -188,17 +164,29 @@ std::string journal_response_stream(const std::string& path) {
   return out;
 }
 
-Journal::Journal(const std::string& path) : Journal(path, Options()) {}
+JournalMetrics::JournalMetrics(metrics::MetricsRegistry& registry)
+    : admits(registry.counter("serve_journal_admits_total")),
+      commits(registry.counter("serve_journal_commits_total")),
+      bytes(registry.counter("serve_journal_appended_bytes_total")),
+      fsyncs(registry.counter("serve_journal_fsyncs_total")),
+      truncated_bytes(registry.counter("serve_journal_truncated_bytes_total")) {}
 
-Journal::Journal(const std::string& path, const Options& options)
-    : path_(path), options_(options), recovered_(scan_journal(path)) {
+Journal::Journal(const std::string& path, metrics::MetricsRegistry& registry)
+    : Journal(path, registry, Options()) {}
+
+Journal::Journal(const std::string& path, metrics::MetricsRegistry& registry,
+                 const Options& options)
+    : path_(path),
+      options_(options),
+      metrics_(registry),
+      recovered_(scan_journal(path)) {
   namespace fs = std::filesystem;
   std::error_code ec;
   if (recovered_.truncated_bytes > 0) {
     fs::resize_file(path_, recovered_.valid_bytes, ec);
     require(!ec, strf("journal '%s': cannot truncate torn tail: %s", path_.c_str(),
                       ec.message().c_str()));
-    JournalMetrics::instance().truncated_bytes.add(recovered_.truncated_bytes);
+    metrics_.truncated_bytes.add(recovered_.truncated_bytes);
   }
   const bool fresh = !fs::exists(path_, ec) || fs::file_size(path_, ec) == 0;
   file_ = std::fopen(path_.c_str(), "ab");
@@ -243,16 +231,16 @@ void Journal::append_record(JournalRecordType type, std::uint64_t seq,
 #ifndef _WIN32
   if (options_.sync) {
     ::fsync(::fileno(file_));
-    JournalMetrics::instance().fsyncs.add();
+    metrics_.fsyncs.add();
   }
 #endif
-  JournalMetrics::instance().bytes.add(record.size());
+  metrics_.bytes.add(record.size());
   if (type == JournalRecordType::Admit) {
     ++admits_;
-    JournalMetrics::instance().admits.add();
+    metrics_.admits.add();
   } else {
     ++commits_;
-    JournalMetrics::instance().commits.add();
+    metrics_.commits.add();
   }
 }
 
@@ -269,7 +257,7 @@ void Journal::flush() {
   std::fflush(file_);
 #ifndef _WIN32
   ::fsync(::fileno(file_));
-  JournalMetrics::instance().fsyncs.add();
+  metrics_.fsyncs.add();
 #endif
 }
 

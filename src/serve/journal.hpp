@@ -41,6 +41,8 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.hpp"
+
 namespace ipass::serve {
 
 inline constexpr char kJournalMagic[8] = {'I', 'P', 'A', 'S', 'S', 'J', '0', '1'};
@@ -86,6 +88,19 @@ JournalRecovery scan_journal(const std::string& path);
 // compares byte-for-byte against an uninterrupted run.
 std::string journal_response_stream(const std::string& path);
 
+// Appended-record counters, resolved once from a registry
+// (serve_journal_*_total).  The recovered prefix is NOT replayed into them:
+// `truncated_bytes` counts torn-tail bytes dropped at open, the one
+// recovery-time signal worth alerting on.
+struct JournalMetrics {
+  explicit JournalMetrics(metrics::MetricsRegistry& registry);
+  metrics::Counter& admits;
+  metrics::Counter& commits;
+  metrics::Counter& bytes;
+  metrics::Counter& fsyncs;
+  metrics::Counter& truncated_bytes;
+};
+
 class Journal {
  public:
   struct Options {
@@ -97,9 +112,11 @@ class Journal {
 
   // Opens (creating if absent) and recovers `path`: a torn tail is
   // physically truncated away, then the file is opened for appends.
-  // Throws PreconditionError when recovery rejects the file.
-  explicit Journal(const std::string& path);
-  Journal(const std::string& path, const Options& options);
+  // Throws PreconditionError when recovery rejects the file.  Counts into
+  // `registry`, which must outlive the journal.
+  Journal(const std::string& path, metrics::MetricsRegistry& registry);
+  Journal(const std::string& path, metrics::MetricsRegistry& registry,
+          const Options& options);
   ~Journal();  // flush + close
 
   Journal(const Journal&) = delete;
@@ -129,6 +146,7 @@ class Journal {
 
   const std::string path_;
   const Options options_;
+  const JournalMetrics metrics_;
   JournalRecovery recovered_;
   mutable std::mutex m_;
   std::FILE* file_ = nullptr;

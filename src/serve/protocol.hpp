@@ -31,8 +31,6 @@ namespace ipass::serve {
 // Wire version token, reported by the health and stats responses (bumped
 // when the protocol or response format changes).
 inline constexpr const char* kWireVersion = "ipass-serve/9";
-// Historic name, kept for existing call sites.
-inline constexpr const char* kServeVersion = kWireVersion;
 
 // The probe kinds the service answers at admission — no sequence number,
 // no journal record, no queue slot — so a readiness check or a metrics

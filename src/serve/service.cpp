@@ -77,62 +77,43 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
   return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
 }
 
-// Service-level global metrics, resolved once (allocation-free afterwards).
-// Mirrors of per-instance ServiceStats plus the stage-latency histograms the
-// per-request traces feed.
-struct ServiceMetrics {
-  metrics::Counter& admitted;
-  metrics::Counter& completed;
-  metrics::Counter& ok;
-  metrics::Counter& errors;
-  metrics::Counter& overloaded;
-  metrics::Counter& degraded;
-  metrics::Counter& recovered;
-  metrics::Counter& health_probes;
-  metrics::Counter& stats_probes;
-  metrics::Counter& slow_requests;
-  metrics::Gauge& queue_depth;
-  metrics::Histogram& parse_ns;
-  metrics::Histogram& queue_wait_ns;
-  metrics::Histogram& cache_ns;
-  metrics::Histogram& evaluate_ns;
-  metrics::Histogram& serialize_ns;
-  metrics::Histogram& journal_append_ns;
-  metrics::Histogram& total_ns;
-
-  static ServiceMetrics& instance() {
-    auto& r = metrics::global_metrics();
-    static ServiceMetrics m{
-        r.counter("serve_requests_admitted_total"),
-        r.counter("serve_requests_completed_total"),
-        r.counter("serve_requests_ok_total"),
-        r.counter("serve_requests_error_total"),
-        r.counter("serve_requests_overloaded_total"),
-        r.counter("serve_requests_degraded_total"),
-        r.counter("serve_requests_recovered_total"),
-        r.counter("serve_probes_health_total"),
-        r.counter("serve_probes_stats_total"),
-        r.counter("serve_slow_requests_total"),
-        r.gauge("serve_queue_depth"),
-        r.histogram("serve_request_parse_ns"),
-        r.histogram("serve_request_queue_wait_ns"),
-        r.histogram("serve_request_cache_ns"),
-        r.histogram("serve_request_evaluate_ns"),
-        r.histogram("serve_request_serialize_ns"),
-        r.histogram("serve_request_journal_append_ns"),
-        r.histogram("serve_request_total_ns"),
-    };
-    return m;
-  }
-};
-
 }  // namespace
 
-AssessmentService::AssessmentService(const ServiceOptions& options)
+ServiceMetrics::ServiceMetrics(metrics::MetricsRegistry& registry)
+    : admitted(registry.counter("serve_requests_admitted_total")),
+      completed(registry.counter("serve_requests_completed_total")),
+      ok(registry.counter("serve_requests_ok_total")),
+      errors(registry.counter("serve_requests_error_total")),
+      overloaded(registry.counter("serve_requests_overloaded_total")),
+      degraded(registry.counter("serve_requests_degraded_total")),
+      recovered(registry.counter("serve_requests_recovered_total")),
+      health(registry.counter("serve_probes_health_total")),
+      stats_probes(registry.counter("serve_probes_stats_total")),
+      slow_requests(registry.counter("serve_slow_requests_total")),
+      deadline_exceeded(registry.counter("serve_requests_deadline_exceeded_total")),
+      parse_errors(registry.counter("serve_requests_parse_error_total")),
+      validation_errors(registry.counter("serve_requests_validation_error_total")),
+      internal_errors(registry.counter("serve_requests_internal_error_total")),
+      queue_depth(registry.gauge("serve_queue_depth")),
+      parse_ns(registry.histogram("serve_request_parse_ns")),
+      queue_wait_ns(registry.histogram("serve_request_queue_wait_ns")),
+      cache_ns(registry.histogram("serve_request_cache_ns")),
+      evaluate_ns(registry.histogram("serve_request_evaluate_ns")),
+      serialize_ns(registry.histogram("serve_request_serialize_ns")),
+      journal_append_ns(registry.histogram("serve_request_journal_append_ns")),
+      total_ns(registry.histogram("serve_request_total_ns")),
+      cache(registry) {}
+
+AssessmentService::AssessmentService(const ServiceOptions& options,
+                                     metrics::MetricsRegistry* registry)
     : options_(options),
+      owned_metrics_(registry == nullptr ? std::make_unique<metrics::MetricsRegistry>()
+                                         : nullptr),
+      metrics_registry_(registry != nullptr ? *registry : *owned_metrics_),
+      metrics_(metrics_registry_),
       registry_(kits::builtin_kit_registry()),
       bom_(gps::gps_front_end_bom()),
-      cache_(options.cache_capacity),
+      cache_(options.cache_capacity, metrics_registry_),
       traces_(options.trace_capacity > 0 ? options.trace_capacity : 1) {
   require(options_.workers >= 1 && options_.workers <= 256,
           "AssessmentService: workers must be in [1, 256]");
@@ -140,7 +121,8 @@ AssessmentService::AssessmentService(const ServiceOptions& options)
   if (!options_.journal_path.empty()) {
     Journal::Options jopts;
     jopts.sync = options_.journal_sync;
-    journal_ = std::make_unique<Journal>(options_.journal_path, jopts);
+    journal_ =
+        std::make_unique<Journal>(options_.journal_path, metrics_registry_, jopts);
     next_seq_ = journal_->recovered().next_seq;
     // Re-execute the admitted-but-uncommitted suffix synchronously, before
     // any request can be admitted: the regenerated responses land in the
@@ -158,20 +140,13 @@ void AssessmentService::recover_journal() {
     task.seq = entry.seq;
     task.text = entry.request;
     task.admitted = std::chrono::steady_clock::now();
-    // Recovery is observability-quiet: no trace (the original timings are
-    // gone with the crashed process) — only the recovered counters move.
+    // No trace: the original timings are gone with the crashed process.
+    // The outcome counts like any other completed request.
     Outcome outcome = process(task, nullptr);
     journal_->append_commit(task.seq, outcome.body);
-    ++stats_.admitted;
-    ++stats_.completed;
-    ++stats_.recovered;
-    ServiceMetrics::instance().recovered.add();
-    if (outcome.ok) {
-      ++stats_.ok;
-    } else {
-      ++stats_.errors;
-    }
-    if (outcome.degraded) ++stats_.degraded;
+    metrics_.admitted.add();
+    metrics_.recovered.add();
+    count_outcome(outcome);
   }
   journal_->flush();
 }
@@ -190,14 +165,12 @@ bool AssessmentService::admit(const std::string& request_text, Task& task,
   const ProbeKind probe = probe_kind(request_text);
   std::lock_guard<std::mutex> lk(m_);
   if (probe == ProbeKind::Health) {
-    ++stats_.health;
-    ServiceMetrics::instance().health_probes.add();
+    metrics_.health.add();
     answer = health_response();
     return false;
   }
   if (probe == ProbeKind::Stats) {
-    ++stats_.stats_probes;
-    ServiceMetrics::instance().stats_probes.add();
+    metrics_.stats_probes.add();
     answer = stats_response();
     return false;
   }
@@ -220,8 +193,7 @@ bool AssessmentService::admit(const std::string& request_text, Task& task,
     }
   }
   if (!refusal.empty()) {
-    ++stats_.overloaded;
-    ServiceMetrics::instance().overloaded.add();
+    metrics_.overloaded.add();
     // The client correlates by response order; an admission refusal never
     // parsed the request, so it carries no id.
     answer = error_response("", refusal_code, refusal);
@@ -232,10 +204,8 @@ bool AssessmentService::admit(const std::string& request_text, Task& task,
   task.shed = options_.degrade_depth > 0 && in_flight_ >= options_.degrade_depth;
   task.admitted = std::chrono::steady_clock::now();
   ++in_flight_;
-  ++stats_.admitted;
-  ServiceMetrics::instance().admitted.add();
-  if (in_flight_ > stats_.queue_high_water) stats_.queue_high_water = in_flight_;
-  ServiceMetrics::instance().queue_depth.set(static_cast<std::int64_t>(in_flight_));
+  metrics_.admitted.add();
+  metrics_.queue_depth.set(static_cast<std::int64_t>(in_flight_));
   return true;
 }
 
@@ -260,13 +230,6 @@ std::future<std::string> AssessmentService::submit(const std::string& request_te
   std::promise<std::string> ready;
   ready.set_value(std::move(answer));
   return ready.get_future();
-}
-
-ServiceStats AssessmentService::stats() const {
-  std::lock_guard<std::mutex> lk(m_);
-  ServiceStats out = stats_;
-  out.cache = cache_.stats();
-  return out;
 }
 
 std::string AssessmentService::run(const Task& task) {
@@ -305,42 +268,39 @@ std::string AssessmentService::run(const Task& task) {
   std::lock_guard<std::mutex> lk(m_);
   --running_;
   --in_flight_;
-  ++stats_.completed;
-  if (outcome.ok) {
-    ++stats_.ok;
-  } else {
-    ++stats_.errors;
-    switch (outcome.error) {
-      case ErrorCode::Deadline:
-        ++stats_.deadline_exceeded;
-        break;
-      case ErrorCode::Parse:
-        ++stats_.parse_errors;
-        break;
-      case ErrorCode::Validation:
-        ++stats_.validation_errors;
-        break;
-      default:
-        ++stats_.internal_errors;
-        break;
-    }
-  }
-  if (outcome.degraded) ++stats_.degraded;
-  ServiceMetrics::instance().queue_depth.set(static_cast<std::int64_t>(in_flight_));
+  count_outcome(outcome);
+  metrics_.queue_depth.set(static_cast<std::int64_t>(in_flight_));
   slot_cv_.notify_one();
   if (in_flight_ == 0) drained_cv_.notify_all();
   return std::move(outcome.body);
 }
 
-void AssessmentService::finish_trace(RequestTrace& trace) const {
-  ServiceMetrics& m = ServiceMetrics::instance();
-  m.completed.add();
-  if (trace.ok) {
-    m.ok.add();
+void AssessmentService::count_outcome(const Outcome& outcome) const {
+  metrics_.completed.add();
+  if (outcome.ok) {
+    metrics_.ok.add();
   } else {
-    m.errors.add();
+    metrics_.errors.add();
+    switch (outcome.error) {
+      case ErrorCode::Deadline:
+        metrics_.deadline_exceeded.add();
+        break;
+      case ErrorCode::Parse:
+        metrics_.parse_errors.add();
+        break;
+      case ErrorCode::Validation:
+        metrics_.validation_errors.add();
+        break;
+      default:
+        metrics_.internal_errors.add();
+        break;
+    }
   }
-  if (trace.degraded) m.degraded.add();
+  if (outcome.degraded) metrics_.degraded.add();
+}
+
+void AssessmentService::finish_trace(RequestTrace& trace) const {
+  const ServiceMetrics& m = metrics_;
   m.parse_ns.record(trace.parse_ns);
   m.queue_wait_ns.record(trace.queue_wait_ns);
   m.cache_ns.record(trace.cache_ns);
@@ -376,16 +336,15 @@ void AssessmentService::flush_journal() {
 std::string AssessmentService::health_response() const {
   // Caller holds m_.  A single line mirroring the response format; every
   // field is a cheap counter read, so probes are safe at any frequency.
-  const CompiledStudyCache::Stats cache = cache_.stats();
   return strf(
       "{\"status\": \"ok\", \"version\": \"%s\", \"queue_depth\": %zu, "
       "\"running\": %zu, \"workers\": %u, \"admitted\": %llu, "
       "\"completed\": %llu, \"cache_size\": %zu, \"cache_hits\": %llu, "
       "\"journal\": %s, \"journal_lag\": %llu, \"draining\": %s}",
-      kServeVersion, in_flight_ - running_, running_, options_.workers,
-      static_cast<unsigned long long>(stats_.admitted),
-      static_cast<unsigned long long>(stats_.completed), cache_.size(),
-      static_cast<unsigned long long>(cache.hits),
+      kWireVersion, in_flight_ - running_, running_, options_.workers,
+      static_cast<unsigned long long>(metrics_.admitted.value()),
+      static_cast<unsigned long long>(metrics_.completed.value()), cache_.size(),
+      static_cast<unsigned long long>(metrics_.cache.hits.value()),
       journal_ != nullptr ? "true" : "false",
       static_cast<unsigned long long>(journal_ != nullptr ? journal_->lag() : 0),
       draining_ ? "true" : "false");
@@ -396,9 +355,12 @@ std::string AssessmentService::stats_response() const {
   // and outcome counters (with the per-taxonomy error breakdown), queue
   // pressure, cache behavior, journal position and the trace ring — every
   // field a cheap counter read, safe to scrape at any frequency.
-  const CompiledStudyCache::Stats cache = cache_.stats();
+  const ServiceMetrics& m = metrics_;
   const auto u64 = [](std::uint64_t v) {
     return static_cast<unsigned long long>(v);
+  };
+  const auto n = [](const metrics::Counter& c) {
+    return static_cast<unsigned long long>(c.value());
   };
   std::string out = strf(
       "{\"status\": \"ok\", \"kind\": \"stats\", \"version\": \"%s\", "
@@ -409,18 +371,17 @@ std::string AssessmentService::stats_response() const {
       "\"parse_errors\": %llu, \"validation_errors\": %llu, "
       "\"internal_errors\": %llu, \"recovered\": %llu, "
       "\"health_probes\": %llu, \"stats_probes\": %llu",
-      kWireVersion, in_flight_ - running_, u64(stats_.queue_high_water), running_,
-      options_.workers, u64(stats_.admitted), u64(stats_.completed),
-      u64(stats_.ok), u64(stats_.errors), u64(stats_.overloaded),
-      u64(stats_.degraded), u64(stats_.deadline_exceeded),
-      u64(stats_.parse_errors), u64(stats_.validation_errors),
-      u64(stats_.internal_errors), u64(stats_.recovered), u64(stats_.health),
-      u64(stats_.stats_probes));
+      kWireVersion, in_flight_ - running_,
+      static_cast<unsigned long long>(m.queue_depth.high_water()), running_,
+      options_.workers, n(m.admitted), n(m.completed), n(m.ok), n(m.errors),
+      n(m.overloaded), n(m.degraded), n(m.deadline_exceeded), n(m.parse_errors),
+      n(m.validation_errors), n(m.internal_errors), n(m.recovered), n(m.health),
+      n(m.stats_probes));
   out += strf(
       ", \"cache\": {\"size\": %zu, \"hits\": %llu, \"misses\": %llu, "
       "\"waits\": %llu, \"evictions\": %llu, \"failures\": %llu}",
-      cache_.size(), u64(cache.hits), u64(cache.misses), u64(cache.waits),
-      u64(cache.evictions), u64(cache.failures));
+      cache_.size(), n(m.cache.hits), n(m.cache.misses), n(m.cache.waits),
+      n(m.cache.evictions), n(m.cache.failures));
   out += strf(
       ", \"journal\": {\"enabled\": %s, \"admits\": %llu, \"commits\": %llu, "
       "\"lag\": %llu}",

@@ -12,6 +12,12 @@
 // sequence number, service options): timing, thread interleaving and cache
 // state never leak into the bytes, which is what makes request-log replay
 // byte-identical across worker counts.
+//
+// Every counter the service keeps lives in the metrics registry it is given
+// (ipass_serve passes metrics::global_metrics(); a service given none owns a
+// fresh registry, so in-process services never mix their numbers).  The
+// stats and health probes read those same counters, so the probes and the
+// registry's JSON/Prometheus dump cannot disagree.
 #pragma once
 
 #include <chrono>
@@ -22,6 +28,7 @@
 #include <mutex>
 #include <string>
 
+#include "common/metrics.hpp"
 #include "core/function_bom.hpp"
 #include "kits/registry.hpp"
 #include "serve/cache.hpp"
@@ -60,30 +67,44 @@ struct ServiceOptions {
   std::size_t trace_capacity = 256;
 };
 
-struct ServiceStats {
-  std::uint64_t admitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t errors = 0;      // completed with a structured error
-  std::uint64_t overloaded = 0;  // refused at admission
-  std::uint64_t degraded = 0;    // completed with shed optional stages
-  std::uint64_t recovered = 0;   // journal entries re-executed on startup
-  std::uint64_t health = 0;      // health probes answered (never admitted)
-  std::uint64_t stats_probes = 0;  // stats probes answered (never admitted)
-  // Highest concurrent admitted-but-unfinished count ever observed (waiting
-  // for a slot plus running) — how close admission came to queue_limit.
-  std::uint64_t queue_high_water = 0;
+// The service's counters, gauge and stage-latency histograms, resolved once
+// from its registry (serve_*).  Recording is allocation-free and lock-free.
+struct ServiceMetrics {
+  explicit ServiceMetrics(metrics::MetricsRegistry& registry);
+  metrics::Counter& admitted;
+  metrics::Counter& completed;
+  metrics::Counter& ok;
+  metrics::Counter& errors;      // completed with a structured error
+  metrics::Counter& overloaded;  // refused at admission
+  metrics::Counter& degraded;    // completed with shed optional stages
+  metrics::Counter& recovered;   // journal entries re-executed on startup
+  metrics::Counter& health;      // health probes answered (never admitted)
+  metrics::Counter& stats_probes;  // stats probes answered (never admitted)
+  metrics::Counter& slow_requests;
   // Per-outcome breakdown of `errors` by taxonomy code.
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t parse_errors = 0;
-  std::uint64_t validation_errors = 0;
-  std::uint64_t internal_errors = 0;
-  CompiledStudyCache::Stats cache;
+  metrics::Counter& deadline_exceeded;
+  metrics::Counter& parse_errors;
+  metrics::Counter& validation_errors;
+  metrics::Counter& internal_errors;
+  // Admitted-but-unfinished requests (waiting for a slot plus running); its
+  // high_water() is how close admission came to queue_limit.
+  metrics::Gauge& queue_depth;
+  metrics::Histogram& parse_ns;
+  metrics::Histogram& queue_wait_ns;
+  metrics::Histogram& cache_ns;
+  metrics::Histogram& evaluate_ns;
+  metrics::Histogram& serialize_ns;
+  metrics::Histogram& journal_append_ns;
+  metrics::Histogram& total_ns;
+  const CacheMetrics cache;
 };
 
 class AssessmentService {
  public:
-  explicit AssessmentService(const ServiceOptions& options = {});
+  // Records into `registry`, which must outlive the service; given none,
+  // the service owns a fresh registry.
+  explicit AssessmentService(const ServiceOptions& options = {},
+                             metrics::MetricsRegistry* registry = nullptr);
   // Refuses new requests and waits until no admitted request is still
   // running (every admitted request still gets its response).
   ~AssessmentService();
@@ -111,7 +132,8 @@ class AssessmentService {
   bool await_drained(std::chrono::milliseconds timeout);
   void flush_journal();
 
-  ServiceStats stats() const;
+  const ServiceMetrics& metrics() const { return metrics_; }
+  metrics::MetricsRegistry& metrics_registry() const { return metrics_registry_; }
   const ServiceOptions& options() const { return options_; }
   const Journal* journal() const { return journal_.get(); }
   // Completed request traces (bounded ring, oldest overwritten).
@@ -143,12 +165,18 @@ class AssessmentService {
                          RequestTrace* trace) const;
   std::string health_response() const;
   std::string stats_response() const;
+  // Outcome counters for one completed request (run() and recovery alike).
+  void count_outcome(const Outcome& outcome) const;
   // Ring-push, latency histograms and the slow-request stderr log for one
   // completed request.
   void finish_trace(RequestTrace& trace) const;
   void recover_journal();  // re-execute the uncommitted suffix (ctor only)
 
   const ServiceOptions options_;
+  // Declared before everything that resolves counters from the registry.
+  const std::unique_ptr<metrics::MetricsRegistry> owned_metrics_;  // or null
+  metrics::MetricsRegistry& metrics_registry_;
+  const ServiceMetrics metrics_;
   const kits::KitRegistry registry_;
   const core::FunctionalBom bom_;
   mutable CompiledStudyCache cache_;
@@ -161,7 +189,6 @@ class AssessmentService {
   std::size_t running_ = 0;    // of those, holding one of the workers slots
   std::uint64_t next_seq_ = 0;
   bool draining_ = false;
-  ServiceStats stats_;
   mutable TraceRing traces_;  // completed-trace ring (internally locked)
 };
 

@@ -20,6 +20,16 @@ const char* transport_status_name(TransportStatus status) {
   return "?";
 }
 
+SocketMetrics::SocketMetrics(metrics::MetricsRegistry& registry)
+    : connections_accepted(registry.counter("serve_socket_connections_accepted_total")),
+      connections_refused(registry.counter("serve_socket_connections_refused_total")),
+      frames_in(registry.counter("serve_socket_frames_in_total")),
+      frames_out(registry.counter("serve_socket_frames_out_total")),
+      bytes_in(registry.counter("serve_socket_bytes_in_total")),
+      bytes_out(registry.counter("serve_socket_bytes_out_total")),
+      truncated_frames(registry.counter("serve_socket_truncated_frames_total")),
+      oversized_frames(registry.counter("serve_socket_oversized_frames_total")) {}
+
 }  // namespace ipass::serve
 
 #ifndef _WIN32
@@ -34,40 +44,9 @@ const char* transport_status_name(TransportStatus status) {
 #include <chrono>
 #include <cstring>
 
-#include "common/metrics.hpp"
-
 namespace ipass::serve {
 
 namespace {
-
-// Server-side transport counters, resolved once.  Only SocketServer records
-// here — the shared frame helpers stay metric-free so clients and tests
-// don't pollute the server's picture of its own wire.
-struct SocketMetrics {
-  metrics::Counter& connections_accepted;
-  metrics::Counter& connections_refused;
-  metrics::Counter& frames_in;
-  metrics::Counter& frames_out;
-  metrics::Counter& bytes_in;
-  metrics::Counter& bytes_out;
-  metrics::Counter& truncated_frames;
-  metrics::Counter& oversized_frames;
-
-  static SocketMetrics& instance() {
-    auto& r = metrics::global_metrics();
-    static SocketMetrics m{
-        r.counter("serve_socket_connections_accepted_total"),
-        r.counter("serve_socket_connections_refused_total"),
-        r.counter("serve_socket_frames_in_total"),
-        r.counter("serve_socket_frames_out_total"),
-        r.counter("serve_socket_bytes_in_total"),
-        r.counter("serve_socket_bytes_out_total"),
-        r.counter("serve_socket_truncated_frames_total"),
-        r.counter("serve_socket_oversized_frames_total"),
-    };
-    return m;
-  }
-};
 
 // Reads until `size` bytes arrived, EOF, or an unrecoverable error; returns
 // the byte count actually read.
@@ -133,8 +112,11 @@ FrameStatus read_frame(int fd, std::string& payload) {
   return FrameStatus::Ok;
 }
 
-SocketServer::SocketServer(const ServerOptions& options)
-    : options_(options), service_(std::make_unique<AssessmentService>(options.service)) {
+SocketServer::SocketServer(const ServerOptions& options,
+                           metrics::MetricsRegistry* registry)
+    : options_(options),
+      service_(std::make_unique<AssessmentService>(options.service, registry)),
+      metrics_(service_->metrics_registry()) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   require(listen_fd_ >= 0, "SocketServer: cannot create socket");
   const int one = 1;
@@ -184,13 +166,13 @@ void SocketServer::run() {
       lk.unlock();
       // Refuse above the connection cap with a structured frame so the
       // client sees backpressure, not a silent hangup.
-      SocketMetrics::instance().connections_refused.add();
+      metrics_.connections_refused.add();
       write_frame(fd, error_response("", ErrorCode::Overload,
                                      "too many connections; retry later"));
       ::close(fd);
       continue;
     }
-    SocketMetrics::instance().connections_accepted.add();
+    metrics_.connections_accepted.add();
     conn_fds_.push_back(fd);
     if (idle_ > 0) {
       --idle_;
@@ -227,7 +209,6 @@ void SocketServer::stop() {
 }
 
 void SocketServer::serve_connections(int fd) {
-  SocketMetrics& sm = SocketMetrics::instance();
   std::string request;
   for (;;) {
     for (;;) {
@@ -237,25 +218,25 @@ void SocketServer::serve_connections(int fd) {
         // Best-effort: the peer may already be gone, but when only its write
         // side died the structured error tells it the request never reached
         // an engine (a retry is unconditionally safe).
-        sm.truncated_frames.add();
+        metrics_.truncated_frames.add();
         write_frame(fd, error_response("", ErrorCode::Parse,
                                        "truncated request frame: connection lost "
                                        "mid-frame; the request was not processed"));
         break;
       }
       if (status == FrameStatus::TooLarge) {
-        sm.oversized_frames.add();
+        metrics_.oversized_frames.add();
         write_frame(fd, error_response("", ErrorCode::Parse,
                                        strf("request frame exceeds %zu bytes",
                                             kMaxFrameBytes)));
         break;
       }
-      sm.frames_in.add();
-      sm.bytes_in.add(request.size());
+      metrics_.frames_in.add();
+      metrics_.bytes_in.add(request.size());
       const std::string response = service_->handle(request);
       if (!write_frame(fd, response)) break;
-      sm.frames_out.add();
-      sm.bytes_out.add(response.size());
+      metrics_.frames_out.add();
+      metrics_.bytes_out.add(response.size());
     }
     std::unique_lock<std::mutex> lk(conn_m_);
     // Deregister before closing, under the lock the drain shuts fds down
@@ -339,7 +320,11 @@ std::string frame_bytes(const std::string& payload) {
   return wire;
 }
 
-SocketServer::SocketServer(const ServerOptions& options) : options_(options) {
+SocketServer::SocketServer(const ServerOptions& options,
+                           metrics::MetricsRegistry* registry)
+    : options_(options),
+      service_(std::make_unique<AssessmentService>(options.service, registry)),
+      metrics_(service_->metrics_registry()) {
   throw PreconditionError("SocketServer: POSIX sockets unavailable on this platform");
 }
 SocketServer::~SocketServer() = default;

@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "serve/service.hpp"
 
 namespace ipass::serve {
@@ -65,11 +66,30 @@ struct ServerOptions {
   std::uint32_t drain_timeout_ms = 5000;
 };
 
+// Server-side transport counters, resolved once from a registry
+// (serve_socket_*).  Only SocketServer records here — the shared frame
+// helpers stay metric-free so clients and tests don't pollute the server's
+// picture of its own wire.
+struct SocketMetrics {
+  explicit SocketMetrics(metrics::MetricsRegistry& registry);
+  metrics::Counter& connections_accepted;
+  metrics::Counter& connections_refused;
+  metrics::Counter& frames_in;
+  metrics::Counter& frames_out;
+  metrics::Counter& bytes_in;
+  metrics::Counter& bytes_out;
+  metrics::Counter& truncated_frames;
+  metrics::Counter& oversized_frames;
+};
+
 class SocketServer {
  public:
   // Binds and listens on 127.0.0.1 immediately; throws PreconditionError
   // when the port is unavailable (or on platforms without POSIX sockets).
-  explicit SocketServer(const ServerOptions& options);
+  // The server and its service record into `registry`, which must outlive
+  // the server; given none, the service owns a fresh registry.
+  explicit SocketServer(const ServerOptions& options,
+                        metrics::MetricsRegistry* registry = nullptr);
   ~SocketServer();
 
   SocketServer(const SocketServer&) = delete;
@@ -93,6 +113,7 @@ class SocketServer {
 
   const ServerOptions options_;
   std::unique_ptr<AssessmentService> service_;
+  const SocketMetrics metrics_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};

@@ -25,7 +25,8 @@ std::shared_ptr<const core::CompiledStudy> compile_reference() {
 }
 
 TEST(StudyCache, HitsMissesAndLruEviction) {
-  CompiledStudyCache cache(2);
+  metrics::MetricsRegistry registry;
+  CompiledStudyCache cache(2, registry);
   std::atomic<int> compiles{0};
   const auto compile = [&] {
     ++compiles;
@@ -49,15 +50,16 @@ TEST(StudyCache, HitsMissesAndLruEviction) {
   cache.get_or_compile("a", compile);  // recompiled after eviction
   EXPECT_EQ(compiles.load(), 4);
 
-  const CompiledStudyCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 4U);
-  EXPECT_GE(stats.hits, 3U);
-  EXPECT_GE(stats.evictions, 2U);
-  EXPECT_EQ(stats.failures, 0U);
+  const CacheMetrics& stats = cache.metrics();
+  EXPECT_EQ(stats.misses.value(), 4U);
+  EXPECT_GE(stats.hits.value(), 3U);
+  EXPECT_GE(stats.evictions.value(), 2U);
+  EXPECT_EQ(stats.failures.value(), 0U);
 }
 
 TEST(StudyCache, ExplicitAndMidFlightEvictionIsSafeForHolders) {
-  CompiledStudyCache cache(4);
+  metrics::MetricsRegistry registry;
+  CompiledStudyCache cache(4, registry);
   const auto compile = [] { return compile_reference(); };
   const std::shared_ptr<const core::CompiledStudy> held =
       cache.get_or_compile("k", compile);
@@ -72,7 +74,8 @@ TEST(StudyCache, ExplicitAndMidFlightEvictionIsSafeForHolders) {
 }
 
 TEST(StudyCache, SingleFlightCompilesOnceUnderContention) {
-  CompiledStudyCache cache(4);
+  metrics::MetricsRegistry registry;
+  CompiledStudyCache cache(4, registry);
   std::atomic<int> compiles{0};
   const auto slow_compile = [&] {
     ++compiles;
@@ -92,15 +95,17 @@ TEST(StudyCache, SingleFlightCompilesOnceUnderContention) {
 
   EXPECT_EQ(compiles.load(), 1);
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(results[t], results[0]);
-  const CompiledStudyCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1U);
+  const CacheMetrics& stats = cache.metrics();
+  EXPECT_EQ(stats.misses.value(), 1U);
   // A thread arriving mid-compile waits; one arriving after it finished
   // hits — either way nobody compiled twice.
-  EXPECT_EQ(stats.waits + stats.hits, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(stats.waits.value() + stats.hits.value(),
+            static_cast<std::uint64_t>(kThreads - 1));
 }
 
 TEST(StudyCache, FailedCompileReachesEveryWaiterAndIsNotCached) {
-  CompiledStudyCache cache(4);
+  metrics::MetricsRegistry registry;
+  CompiledStudyCache cache(4, registry);
   std::atomic<int> compiles{0};
   const auto failing = [&]() -> std::shared_ptr<const core::CompiledStudy> {
     ++compiles;
@@ -125,7 +130,7 @@ TEST(StudyCache, FailedCompileReachesEveryWaiterAndIsNotCached) {
   EXPECT_EQ(throws.load(), kThreads);
   EXPECT_EQ(compiles.load(), 1);
   EXPECT_EQ(cache.size(), 0U);
-  EXPECT_EQ(cache.stats().failures, 1U);
+  EXPECT_EQ(cache.metrics().failures.value(), 1U);
 
   // The failure was not cached: the next request retries and succeeds.
   EXPECT_NE(cache.get_or_compile("bad", [] { return compile_reference(); }), nullptr);
@@ -133,7 +138,8 @@ TEST(StudyCache, FailedCompileReachesEveryWaiterAndIsNotCached) {
 }
 
 TEST(StudyCache, CapacityMustBePositive) {
-  EXPECT_THROW(CompiledStudyCache(0), PreconditionError);
+  metrics::MetricsRegistry registry;
+  EXPECT_THROW(CompiledStudyCache(0, registry), PreconditionError);
 }
 
 }  // namespace

@@ -64,7 +64,10 @@ struct SoakRun {
   std::vector<std::string> responses;
   std::vector<std::uint32_t> backoff_log;
   std::uint64_t attempts = 0;
-  ServiceStats service_stats;
+  struct {
+    std::uint64_t admitted = 0;
+    std::uint64_t completed = 0;
+  } service_stats;
   ChaosStats chaos_stats;
 };
 
@@ -101,7 +104,8 @@ SoakRun run_soak(const std::vector<std::string>& requests, std::uint64_t seed,
   chaos.stop();
   chaos_thread.join();
   run.chaos_stats = chaos.stats();
-  run.service_stats = server.service().stats();
+  run.service_stats = {server.service().metrics().admitted.value(),
+                       server.service().metrics().completed.value()};
   server.stop();
   server_thread.join();
   if (metrics_on) metrics::set_profiling_enabled(false);

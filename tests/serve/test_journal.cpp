@@ -41,7 +41,8 @@ TEST(Journal, AppendScanRoundtrip) {
   const std::string path = tmp_path("roundtrip");
   std::remove(path.c_str());
   {
-    Journal journal(path);
+    metrics::MetricsRegistry registry;
+    Journal journal(path, registry);
     journal.append_admit(0, "request zero");
     journal.append_admit(1, "request one");
     journal.append_commit(0, "response zero");
@@ -77,12 +78,14 @@ TEST(Journal, CountersResumeAcrossReopen) {
   const std::string path = tmp_path("reopen");
   std::remove(path.c_str());
   {
-    Journal journal(path);
+    metrics::MetricsRegistry registry;
+    Journal journal(path, registry);
     journal.append_admit(0, "a");
     journal.append_commit(0, "b");
   }
   {
-    Journal journal(path);
+    metrics::MetricsRegistry registry;
+    Journal journal(path, registry);
     EXPECT_EQ(journal.admit_count(), 1U);
     EXPECT_EQ(journal.commit_count(), 1U);
     journal.append_admit(1, "c");
@@ -100,7 +103,8 @@ TEST(Journal, TornTailAtAnyCutRecoversThePrefix) {
   const std::string path = tmp_path("torn_src");
   std::remove(path.c_str());
   {
-    Journal journal(path);
+    metrics::MetricsRegistry registry;
+    Journal journal(path, registry);
     for (std::uint64_t s = 0; s < 6; ++s) {
       journal.append_admit(s, "request payload number " + std::to_string(s));
       journal.append_commit(s, "response payload number " + std::to_string(s));
@@ -142,7 +146,8 @@ TEST(Journal, TornTailAtAnyCutRecoversThePrefix) {
 
     // Reopening truncates the torn tail and appends cleanly after it.
     {
-      Journal journal(cut_path);
+      metrics::MetricsRegistry registry;
+      Journal journal(cut_path, registry);
       journal.append_admit(100, "post-crash request");
     }
     const JournalRecovery again = scan_journal(cut_path);
@@ -200,11 +205,11 @@ TEST(Journal, KillAtAnyRecordBoundaryRecoversByteIdentical) {
       // is the resume point (exactly what ipass_replay --journal does).
       resume_from = journal->recovered().entries.size();
       ASSERT_LE(resume_from, requests.size()) << "cut at " << cut;
-      const std::uint64_t recovered = service.stats().recovered;
+      const std::uint64_t recovered = service.metrics().recovered.value();
       for (std::size_t i = resume_from; i < requests.size(); ++i) {
         service.handle(requests[i]);
       }
-      EXPECT_EQ(service.stats().recovered, recovered) << "cut at " << cut;
+      EXPECT_EQ(service.metrics().recovered.value(), recovered) << "cut at " << cut;
     }
     EXPECT_EQ(journal_response_stream(crash_path), reference_stream)
         << "cut at " << cut << " (resumed from line " << resume_from << ")";
@@ -214,7 +219,7 @@ TEST(Journal, KillAtAnyRecordBoundaryRecoversByteIdentical) {
 }
 
 // Startup recovery alone (no resume) must regenerate the missing commits
-// byte-identically and count them in stats().recovered.
+// byte-identically and count them in metrics().recovered.
 TEST(Journal, ServiceReExecutesUncommittedSuffixOnBoot) {
   const std::vector<std::string> requests = committed_requests();
   const std::string ref_path = tmp_path("reexec_ref");
@@ -254,8 +259,9 @@ TEST(Journal, ServiceReExecutesUncommittedSuffixOnBoot) {
     ServiceOptions options;
     options.journal_path = cut_path;
     AssessmentService service(options);
-    EXPECT_GE(service.stats().recovered, 1U);
-    EXPECT_EQ(service.stats().completed, service.stats().recovered);
+    EXPECT_GE(service.metrics().recovered.value(), 1U);
+    EXPECT_EQ(service.metrics().completed.value(),
+              service.metrics().recovered.value());
     EXPECT_EQ(service.journal()->lag(), 0U);
   }
   EXPECT_EQ(journal_response_stream(cut_path), reference_stream);
@@ -277,9 +283,9 @@ TEST(Journal, HealthProbesAreNeverJournaled) {
     service.handle(requests[0]);
     service.handle("{\"kind\": \"health\"}");
     service.handle(requests[1]);
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.health, 2U);
-    EXPECT_EQ(stats.admitted, 2U);
+    const ServiceMetrics& stats = service.metrics();
+    EXPECT_EQ(stats.health.value(), 2U);
+    EXPECT_EQ(stats.admitted.value(), 2U);
     EXPECT_EQ(service.journal()->admit_count(), 2U);
   }
   const JournalRecovery rec = scan_journal(path);
@@ -293,7 +299,8 @@ TEST(Journal, HealthProbesAreNeverJournaled) {
 TEST(Journal, OverCapRecordIsRefusedAtAppend) {
   const std::string path = tmp_path("overcap");
   std::remove(path.c_str());
-  Journal journal(path);
+  metrics::MetricsRegistry registry;
+  Journal journal(path, registry);
   EXPECT_THROW(journal.append_admit(0, std::string(kMaxJournalRecordBytes, 'x')),
                PreconditionError);
   journal.append_admit(0, "still works");

@@ -121,7 +121,8 @@ TEST(JournalCorpus, RejectedFilesRefuseToOpen) {
     std::ofstream out(dst, std::ios::binary | std::ios::trunc);
     out << in.rdbuf();
   }
-  EXPECT_THROW(Journal journal(dst), PreconditionError);
+  metrics::MetricsRegistry registry;
+  EXPECT_THROW(Journal journal(dst, registry), PreconditionError);
   std::remove(dst.c_str());
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -145,10 +146,10 @@ TEST(MetricsService, ProbesNeverConsumeSeqOrJournalRecord) {
         service.handle(R"({"id": "a", "kit_name": "ltcc-ceramic"})");
     EXPECT_NE(assess.find("\"status\": \"ok\""), std::string::npos);
     EXPECT_EQ(service.journal()->admit_count(), 1U);
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.health, 1U);
-    EXPECT_EQ(stats.stats_probes, 2U);
-    EXPECT_EQ(stats.admitted, 1U);  // the probes were never admitted
+    const ServiceMetrics& stats = service.metrics();
+    EXPECT_EQ(stats.health.value(), 1U);
+    EXPECT_EQ(stats.stats_probes.value(), 2U);
+    EXPECT_EQ(stats.admitted.value(), 1U);  // the probes were never admitted
   }
   // The journal on disk knows nothing of the probes: one admitted seq.
   const JournalRecovery rec = scan_journal(path);
@@ -165,13 +166,14 @@ TEST(MetricsService, JournaledStrayStatsLineIsRefusedOnRecovery) {
   const std::string path = tmp_path("stray_stats");
   std::remove(path.c_str());
   {
-    Journal journal(path);
+    metrics::MetricsRegistry registry;
+    Journal journal(path, registry);
     journal.append_admit(0, R"({"kind": "stats"})");
   }
   ServiceOptions options;
   options.journal_path = path;
   AssessmentService service(options);
-  EXPECT_EQ(service.stats().recovered, 1U);
+  EXPECT_EQ(service.metrics().recovered.value(), 1U);
   const std::string stream = journal_response_stream(path);
   EXPECT_NE(stream.find("\"code\": \"validation\""), std::string::npos) << stream;
   EXPECT_NE(stream.find("unknown request kind 'stats'"), std::string::npos)
@@ -184,6 +186,37 @@ TEST(MetricsService, JournaledStrayStatsLineIsRefusedOnRecovery) {
   EXPECT_EQ(rec.entries[0].seq, 0U);
   EXPECT_TRUE(rec.entries[0].committed);
   EXPECT_EQ(rec.entries[1].seq, 1U);
+  std::remove(path.c_str());
+}
+
+// Re-executed requests are outcomes like any other: a recovered parse error
+// and a recovered validation error land in the taxonomy breakdown, and the
+// stats probe and the registry read the same completed counter.
+TEST(MetricsService, RecoveredErrorsCountInTheTaxonomy) {
+  const std::string path = tmp_path("recovered_errors");
+  std::remove(path.c_str());
+  {
+    metrics::MetricsRegistry registry;
+    Journal journal(path, registry);
+    journal.append_admit(0, "garbage");
+    journal.append_admit(1, R"({"kind": "stats"})");
+  }
+  metrics::MetricsRegistry registry;
+  ServiceOptions options;
+  options.journal_path = path;
+  AssessmentService service(options, &registry);
+  const JsonValue v = parse_json(service.handle(R"({"kind": "stats"})"),
+                                 "stats response");
+  EXPECT_EQ(field(v, "recovered")->number, 2.0);
+  EXPECT_EQ(field(v, "errors")->number, 2.0);
+  EXPECT_EQ(field(v, "errors")->number,
+            field(v, "deadline_exceeded")->number +
+                field(v, "parse_errors")->number +
+                field(v, "validation_errors")->number +
+                field(v, "internal_errors")->number);
+  EXPECT_EQ(field(v, "completed")->number,
+            static_cast<double>(
+                registry.counter("serve_requests_completed_total").value()));
   std::remove(path.c_str());
 }
 
@@ -267,7 +300,7 @@ TEST(MetricsService, GlobalCountersAreMonotoneAcrossRequests) {
       r.counter("serve_requests_admitted_total").value();
   const std::uint64_t completed_before =
       r.counter("serve_requests_completed_total").value();
-  AssessmentService service;
+  AssessmentService service(ServiceOptions{}, &r);
   service.handle(R"({"id": "m", "kit_name": "ltcc-ceramic"})");
   service.handle(R"({"id": "m2", "kit_name": "ltcc-ceramic"})");
   EXPECT_EQ(r.counter("serve_requests_admitted_total").value(),
@@ -275,6 +308,38 @@ TEST(MetricsService, GlobalCountersAreMonotoneAcrossRequests) {
   EXPECT_EQ(r.counter("serve_requests_completed_total").value(),
             completed_before + 2);
   EXPECT_GE(r.histogram("serve_request_total_ns").count(), 2U);
+}
+
+// Two services given their own registries, driven concurrently, each count
+// only their own requests — in the stats probe and in their registry.
+TEST(MetricsIsolation, ServicesWithOwnRegistriesCountOnlyTheirOwnRequests) {
+  metrics::MetricsRegistry registry_a;
+  metrics::MetricsRegistry registry_b;
+  AssessmentService service_a(ServiceOptions{}, &registry_a);
+  AssessmentService service_b(ServiceOptions{}, &registry_b);
+  std::thread a([&] {
+    service_a.handle(R"({"id": "a", "kit_name": "ltcc-ceramic"})");
+  });
+  std::thread b([&] {
+    service_b.handle(R"({"id": "b", "kit_name": "ltcc-ceramic"})");
+    service_b.handle(R"({"id": "b", "kit_name": "mcm-d-si"})");
+    service_b.handle(R"({"id": "b", "kit_name": "organic-ep"})");
+  });
+  a.join();
+  b.join();
+  const auto check = [](AssessmentService& service,
+                        metrics::MetricsRegistry& registry,
+                        std::uint64_t requests) {
+    const JsonValue v = parse_json(service.handle(R"({"kind": "stats"})"),
+                                   "stats response");
+    EXPECT_EQ(field(v, "completed")->number, static_cast<double>(requests));
+    EXPECT_EQ(field(*field(v, "cache"), "misses")->number,
+              static_cast<double>(requests));
+    EXPECT_EQ(registry.counter("serve_requests_completed_total").value(), requests);
+    EXPECT_EQ(registry.counter("serve_cache_misses_total").value(), requests);
+  };
+  check(service_a, registry_a, 1);
+  check(service_b, registry_b, 3);
 }
 
 TEST(MetricsService, ProfilingHooksRecordOnlyWhenEnabled) {

@@ -203,7 +203,6 @@ TEST(ServeProtocol, KindFieldGatesStatsFromAssess) {
 
 TEST(ServeProtocol, WireVersionNamesTheProtocolGeneration) {
   EXPECT_STREQ(kWireVersion, "ipass-serve/9");
-  EXPECT_STREQ(kServeVersion, kWireVersion);  // historic alias
 }
 
 // The stats response shape is wire contract: scrapers key on these fields,

@@ -77,7 +77,7 @@ TEST(Replay, WindowThrottlingKeepsAdmissionBelowTheLimit) {
   for (const std::string& r : responses) {
     EXPECT_EQ(r.find("\"code\": \"overload\""), std::string::npos) << r;
   }
-  EXPECT_EQ(service.stats().overloaded, 0U);
+  EXPECT_EQ(service.metrics().overloaded.value(), 0U);
 }
 
 TEST(Replay, SocketFrontEndReturnsTheSameBytes) {

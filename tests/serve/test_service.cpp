@@ -94,10 +94,10 @@ TEST(AssessmentService, ErrorTaxonomyOnTheWire) {
   EXPECT_EQ(error_code_of(service.handle(
                 R"({"id": "x", "kit_name": "ltcc-ceramic", "reference": "mcm-d-si-ip"})")),
             "validation");
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.completed, 5U);
-  EXPECT_EQ(stats.errors, 5U);
-  EXPECT_EQ(stats.ok, 0U);
+  const ServiceMetrics& stats = service.metrics();
+  EXPECT_EQ(stats.completed.value(), 5U);
+  EXPECT_EQ(stats.errors.value(), 5U);
+  EXPECT_EQ(stats.ok.value(), 0U);
 }
 
 TEST(AssessmentService, InjectedDeadlineProducesDeadlineError) {
@@ -135,9 +135,9 @@ TEST(AssessmentService, OverloadRefusalIsStructuredAndCounted) {
   EXPECT_EQ(error_code_of(refused), "overload");
   const JsonValue first_v = parse_response(first.get());
   EXPECT_EQ(field_str(first_v, "status"), "ok");
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.overloaded, 1U);
-  EXPECT_EQ(stats.admitted, 1U);
+  const ServiceMetrics& stats = service.metrics();
+  EXPECT_EQ(stats.overloaded.value(), 1U);
+  EXPECT_EQ(stats.admitted.value(), 1U);
 }
 
 TEST(AssessmentService, DegradationShedsOptionalStagesAndFlags) {
@@ -160,7 +160,7 @@ TEST(AssessmentService, DegradationShedsOptionalStagesAndFlags) {
   ASSERT_NE(rows, nullptr);
   EXPECT_EQ(field(rows->array[0], "frontier"), nullptr);
   first.get();
-  EXPECT_GE(service.stats().degraded, 1U);
+  EXPECT_GE(service.metrics().degraded.value(), 1U);
 
   // The same request through an idle service keeps its optional stages.
   AssessmentService calm;
@@ -202,7 +202,7 @@ TEST(AssessmentService, WorkersBoundHowManyRequestsEvaluateAtOnce) {
   for (const std::string& r : responses) {
     EXPECT_EQ(field_str(parse_response(r), "status"), "ok");
   }
-  EXPECT_EQ(service.stats().completed, 4U);
+  EXPECT_EQ(service.metrics().completed.value(), 4U);
 }
 
 TEST(AssessmentService, FaultStormNeverCrashesLeaksOrDeadlocks) {
@@ -235,9 +235,9 @@ TEST(AssessmentService, FaultStormNeverCrashesLeaksOrDeadlocks) {
       const std::string status = field_str(v, "status");
       EXPECT_TRUE(status == "ok" || status == "error") << status;
     }
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.admitted + stats.overloaded, futures.size());
-    EXPECT_EQ(stats.completed, stats.admitted);  // no leaked slots
+    const ServiceMetrics& stats = service.metrics();
+    EXPECT_EQ(stats.admitted.value() + stats.overloaded.value(), futures.size());
+    EXPECT_EQ(stats.completed.value(), stats.admitted.value());  // no leaked slots
   }
 }
 
@@ -261,22 +261,23 @@ TEST(AssessmentService, HealthProbeAnswersWithoutAdmission) {
   AssessmentService service;
   const JsonValue v = parse_response(service.handle(R"({"kind": "health"})"));
   EXPECT_EQ(field_str(v, "status"), "ok");
-  EXPECT_EQ(field_str(v, "version"), kServeVersion);
+  EXPECT_EQ(field_str(v, "version"), kWireVersion);
   ASSERT_NE(field(v, "queue_depth"), nullptr);
   ASSERT_NE(field(v, "journal"), nullptr);
   EXPECT_EQ(field(v, "journal")->boolean, false);
   EXPECT_EQ(field(v, "journal_lag")->number, 0.0);
   EXPECT_EQ(field(v, "draining")->boolean, false);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.health, 1U);
-  EXPECT_EQ(stats.admitted, 0U);  // a probe never consumes a sequence number
+  const ServiceMetrics& stats = service.metrics();
+  EXPECT_EQ(stats.health.value(), 1U);
+  // A probe never consumes a sequence number.
+  EXPECT_EQ(stats.admitted.value(), 0U);
 
   // An inline kit containing the "kind" substring in its document is NOT a
   // health probe (the full parse decides, not the substring).
   const std::string assess = service.handle(
       R"({"id": "k", "kit_name": "ltcc-ceramic", "weights": {"cost": 1}})");
   EXPECT_EQ(field_str(parse_response(assess), "status"), "ok");
-  EXPECT_EQ(service.stats().admitted, 1U);
+  EXPECT_EQ(service.metrics().admitted.value(), 1U);
 }
 
 TEST(AssessmentService, DrainRefusesNewWorkAndFinishesAdmitted) {
@@ -302,10 +303,10 @@ TEST(AssessmentService, DrainRefusesNewWorkAndFinishesAdmitted) {
   for (std::future<std::string>& f : admitted) {
     EXPECT_EQ(field_str(parse_response(f.get()), "status"), "ok");
   }
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.admitted, 4U);
-  EXPECT_EQ(stats.completed, 4U);
-  EXPECT_EQ(stats.overloaded, 1U);
+  const ServiceMetrics& stats = service.metrics();
+  EXPECT_EQ(stats.admitted.value(), 4U);
+  EXPECT_EQ(stats.completed.value(), 4U);
+  EXPECT_EQ(stats.overloaded.value(), 1U);
 }
 
 TEST(AssessmentService, CacheIsSharedAcrossRequests) {
@@ -313,9 +314,9 @@ TEST(AssessmentService, CacheIsSharedAcrossRequests) {
   service.handle(R"({"id": "1", "kit_name": "ltcc-ceramic"})");
   service.handle(R"({"id": "2", "kit_name": "ltcc-ceramic", "volume": 9000})");
   service.handle(R"({"id": "3", "kit_name": "ltcc-ceramic", "weights": {"cost": 2}})");
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.cache.misses, 1U);
-  EXPECT_EQ(stats.cache.hits, 2U);
+  const ServiceMetrics& stats = service.metrics();
+  EXPECT_EQ(stats.cache.misses.value(), 1U);
+  EXPECT_EQ(stats.cache.hits.value(), 2U);
 }
 
 }  // namespace

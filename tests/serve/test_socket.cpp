@@ -221,9 +221,10 @@ TEST(SocketServer, DrainWhileConnectingAnswersEveryFrameAndReturns) {
 
   EXPECT_LT(stop_ms, static_cast<long long>(options.drain_timeout_ms));
   EXPECT_EQ(malformed.load(), 0);
-  const ServiceStats stats = running.server().service().stats();
-  EXPECT_EQ(stats.completed, stats.admitted);  // nothing admitted was dropped
-  EXPECT_GE(stats.ok, static_cast<std::uint64_t>(ok.load()));
+  const ServiceMetrics& stats = running.server().service().metrics();
+  // Nothing admitted was dropped.
+  EXPECT_EQ(stats.completed.value(), stats.admitted.value());
+  EXPECT_GE(stats.ok.value(), static_cast<std::uint64_t>(ok.load()));
 }
 
 }  // namespace

@@ -189,7 +189,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    ipass::serve::SocketServer server(options);
+    // The daemon's serve counters go to the process-wide registry, next to
+    // the engine-profiling histograms, so one dump holds both.
+    ipass::serve::SocketServer server(options, &ipass::metrics::global_metrics());
     g_server = &server;
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
