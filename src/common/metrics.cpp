@@ -62,14 +62,16 @@ std::string MetricsRegistry::snapshot_json() const {
   for (const auto& [name, c] : counters_) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + json_escape(name) + "\": " + u64(c.value());
+    append_json_string(out, name);
+    out += ": " + u64(c.value());
   }
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + json_escape(name) + "\": {\"value\": " + i64(g.value()) +
+    append_json_string(out, name);
+    out += ": {\"value\": " + i64(g.value()) +
            ", \"high_water\": " + i64(g.high_water()) + "}";
   }
   out += "}, \"histograms\": {";
@@ -77,7 +79,8 @@ std::string MetricsRegistry::snapshot_json() const {
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + json_escape(name) + "\": {\"count\": " + u64(h.count()) +
+    append_json_string(out, name);
+    out += ": {\"count\": " + u64(h.count()) +
            ", \"sum_ns\": " + u64(h.sum_ns()) + ", \"buckets\": [";
     bool first_bucket = true;
     for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {

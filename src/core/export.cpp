@@ -18,76 +18,97 @@ std::string csv_escape(const std::string& value) {
 
 namespace {
 
-// Shared with kits::kit_json (common/jsonfmt.hpp); the short alias keeps
-// the format strings below readable.
-std::string jnum(double v) { return json_number(v); }
+// Each helper appends `text` verbatim (the separator and key of the field)
+// and then the value, so the literals below read as the document itself.
+void num(std::string& out, const char* text, double v) {
+  out += text;
+  append_json_number(out, v);
+}
 
-std::string ledger_json(const moe::Ledger& ledger) {
-  std::string out = "{";
+void count(std::string& out, const char* text, std::size_t n) {
+  out += text;
+  out += std::to_string(n);
+}
+
+void append_ledger(std::string& out, const moe::Ledger& ledger) {
+  out += '{';
   for (int i = 0; i < moe::kCostCategoryCount; ++i) {
     if (i) out += ", ";
-    out += strf("\"%s\": %s", moe::cost_category_name(static_cast<moe::CostCategory>(i)),
-                jnum(ledger.v[i]).c_str());
+    out += '"';
+    out += moe::cost_category_name(static_cast<moe::CostCategory>(i));
+    num(out, "\": ", ledger.v[i]);
   }
-  out += "}";
-  return out;
+  out += '}';
+}
+
+// A JSON array of counts on one line: [1, 2, 3].
+void append_counts(std::string& out, const std::vector<std::size_t>& counts) {
+  out += '[';
+  for (std::size_t i = 0; i < counts.size(); ++i) count(out, i ? ", " : "", counts[i]);
+  out += ']';
 }
 
 }  // namespace
 
 std::string decision_report_json(const DecisionReport& report) {
-  std::string out = "{\n";
-  out += strf("  \"reference\": %zu,\n  \"winner\": %zu,\n", report.reference,
-              report.winner);
-  out += strf("  \"weights\": {\"performance\": %s, \"size\": %s, \"cost\": %s},\n",
-              jnum(report.weights.performance).c_str(), jnum(report.weights.size).c_str(),
-              jnum(report.weights.cost).c_str());
-  out += "  \"assessments\": [\n";
+  std::string out;
+  count(out, "{\n  \"reference\": ", report.reference);
+  count(out, ",\n  \"winner\": ", report.winner);
+  num(out, ",\n  \"weights\": {\"performance\": ", report.weights.performance);
+  num(out, ", \"size\": ", report.weights.size);
+  num(out, ", \"cost\": ", report.weights.cost);
+  out += "},\n  \"assessments\": [\n";
   for (std::size_t i = 0; i < report.assessments.size(); ++i) {
     const BuildUpAssessment& a = report.assessments[i];
-    out += "    {\n";
-    out += strf("      \"index\": %d,\n      \"name\": \"%s\",\n", a.buildup.index,
-                json_escape(a.buildup.name).c_str());
-    out += strf("      \"performance\": {\"score\": %s, \"filters\": [\n",
-                jnum(a.performance.score).c_str());
+    out += "    {\n      \"index\": ";
+    out += std::to_string(a.buildup.index);
+    out += ",\n      \"name\": ";
+    append_json_string(out, a.buildup.name);
+    num(out, ",\n      \"performance\": {\"score\": ", a.performance.score);
+    out += ", \"filters\": [\n";
     for (std::size_t f = 0; f < a.performance.filters.size(); ++f) {
       const FilterPerformance& fp = a.performance.filters[f];
-      out += strf(
-          "        {\"name\": \"%s\", \"style\": \"%s\", \"il_spec_db\": %s, "
-          "\"il_calc_db\": %s, \"rejection_spec_db\": %s, \"rejection_calc_db\": %s, "
-          "\"loss_score\": %s, \"rejection_score\": %s, \"score\": %s, "
-          "\"meets_spec\": %s}%s\n",
-          json_escape(fp.name).c_str(), filter_style_name(fp.style),
-          jnum(fp.il_spec_db).c_str(), jnum(fp.il_calc_db).c_str(),
-          jnum(fp.rejection_spec_db).c_str(), jnum(fp.rejection_calc_db).c_str(),
-          jnum(fp.loss_score).c_str(), jnum(fp.rejection_score).c_str(),
-          jnum(fp.score).c_str(), fp.meets_spec ? "true" : "false",
-          f + 1 < a.performance.filters.size() ? "," : "");
+      out += "        {\"name\": ";
+      append_json_string(out, fp.name);
+      out += ", \"style\": \"";
+      out += filter_style_name(fp.style);
+      num(out, "\", \"il_spec_db\": ", fp.il_spec_db);
+      num(out, ", \"il_calc_db\": ", fp.il_calc_db);
+      num(out, ", \"rejection_spec_db\": ", fp.rejection_spec_db);
+      num(out, ", \"rejection_calc_db\": ", fp.rejection_calc_db);
+      num(out, ", \"loss_score\": ", fp.loss_score);
+      num(out, ", \"rejection_score\": ", fp.rejection_score);
+      num(out, ", \"score\": ", fp.score);
+      out += ", \"meets_spec\": ";
+      out += fp.meets_spec ? "true" : "false";
+      out += f + 1 < a.performance.filters.size() ? "},\n" : "}\n";
     }
-    out += "      ]},\n";
-    out += strf(
-        "      \"area\": {\"component_area_mm2\": %s, \"smd_area_mm2\": %s, "
-        "\"substrate_side_mm\": %s, \"substrate_area_mm2\": %s, "
-        "\"module_side_mm\": %s, \"module_area_mm2\": %s},\n",
-        jnum(a.area.component_area_mm2).c_str(), jnum(a.area.smd_area_mm2).c_str(),
-        jnum(a.area.substrate.side_mm).c_str(), jnum(a.area.substrate.area_mm2).c_str(),
-        jnum(a.area.module.side_mm).c_str(), jnum(a.area.module.area_mm2).c_str());
+    num(out, "      ]},\n      \"area\": {\"component_area_mm2\": ",
+        a.area.component_area_mm2);
+    num(out, ", \"smd_area_mm2\": ", a.area.smd_area_mm2);
+    num(out, ", \"substrate_side_mm\": ", a.area.substrate.side_mm);
+    num(out, ", \"substrate_area_mm2\": ", a.area.substrate.area_mm2);
+    num(out, ", \"module_side_mm\": ", a.area.module.side_mm);
+    num(out, ", \"module_area_mm2\": ", a.area.module.area_mm2);
     const moe::CostReport& c = a.cost;
-    out += strf(
-        "      \"cost\": {\"volume\": %s, \"shipped_fraction\": %s, "
-        "\"shipped_units\": %s, \"good_fraction\": %s, \"escaped_defect_rate\": %s, "
-        "\"direct_cost\": %s, \"yield_loss_per_shipped\": %s, \"nre_per_shipped\": %s, "
-        "\"final_cost_per_shipped\": %s, \"total_spend_per_started\": %s,\n",
-        jnum(c.volume).c_str(), jnum(c.shipped_fraction).c_str(),
-        jnum(c.shipped_units).c_str(), jnum(c.good_fraction).c_str(),
-        jnum(c.escaped_defect_rate).c_str(), jnum(c.direct_cost).c_str(),
-        jnum(c.yield_loss_per_shipped).c_str(), jnum(c.nre_per_shipped).c_str(),
-        jnum(c.final_cost_per_shipped).c_str(), jnum(c.total_spend_per_started).c_str());
-    out += strf("      \"direct_ledger\": %s,\n      \"spend_ledger\": %s},\n",
-                ledger_json(c.direct_ledger).c_str(), ledger_json(c.spend_ledger).c_str());
-    out += strf("      \"area_rel\": %s,\n      \"cost_rel\": %s,\n      \"fom\": %s\n",
-                jnum(a.area_rel).c_str(), jnum(a.cost_rel).c_str(), jnum(a.fom).c_str());
-    out += strf("    }%s\n", i + 1 < report.assessments.size() ? "," : "");
+    num(out, "},\n      \"cost\": {\"volume\": ", c.volume);
+    num(out, ", \"shipped_fraction\": ", c.shipped_fraction);
+    num(out, ", \"shipped_units\": ", c.shipped_units);
+    num(out, ", \"good_fraction\": ", c.good_fraction);
+    num(out, ", \"escaped_defect_rate\": ", c.escaped_defect_rate);
+    num(out, ", \"direct_cost\": ", c.direct_cost);
+    num(out, ", \"yield_loss_per_shipped\": ", c.yield_loss_per_shipped);
+    num(out, ", \"nre_per_shipped\": ", c.nre_per_shipped);
+    num(out, ", \"final_cost_per_shipped\": ", c.final_cost_per_shipped);
+    num(out, ", \"total_spend_per_started\": ", c.total_spend_per_started);
+    out += ",\n      \"direct_ledger\": ";
+    append_ledger(out, c.direct_ledger);
+    out += ",\n      \"spend_ledger\": ";
+    append_ledger(out, c.spend_ledger);
+    num(out, "},\n      \"area_rel\": ", a.area_rel);
+    num(out, ",\n      \"cost_rel\": ", a.cost_rel);
+    num(out, ",\n      \"fom\": ", a.fom);
+    out += i + 1 < report.assessments.size() ? "\n    },\n" : "\n    }\n";
   }
   out += "  ]\n}\n";
   return out;
@@ -113,67 +134,71 @@ std::string decision_report_csv(const DecisionReport& report) {
 
 namespace {
 
-std::string scenario_cell_json(const ScenarioCell& cell) {
-  return strf(
-      "{\"cell\": %zu, \"buildup\": %zu, \"corner\": %zu, \"volume\": %zu, "
-      "\"final_cost_per_shipped\": %s, \"shipped_fraction\": %s}",
-      cell.cell, cell.buildup, cell.corner, cell.volume,
-      jnum(cell.final_cost_per_shipped).c_str(), jnum(cell.shipped_fraction).c_str());
+void append_scenario_cell(std::string& out, const ScenarioCell& cell) {
+  count(out, "{\"cell\": ", cell.cell);
+  count(out, ", \"buildup\": ", cell.buildup);
+  count(out, ", \"corner\": ", cell.corner);
+  count(out, ", \"volume\": ", cell.volume);
+  num(out, ", \"final_cost_per_shipped\": ", cell.final_cost_per_shipped);
+  num(out, ", \"shipped_fraction\": ", cell.shipped_fraction);
+  out += '}';
 }
 
 }  // namespace
 
 std::string scenario_grid_summary_json(const ScenarioGridSummary& summary) {
-  std::string out = "{\n";
-  out += strf("  \"cells\": %zu,\n", summary.cells);
-  out += strf("  \"cost_mean\": %s,\n  \"cost_stddev\": %s,\n",
-              jnum(summary.cost_mean).c_str(), jnum(summary.cost_stddev).c_str());
-  out += strf("  \"best\": %s,\n", scenario_cell_json(summary.best).c_str());
-  out += strf("  \"worst\": %s,\n", scenario_cell_json(summary.worst).c_str());
-  out += "  \"wins_per_buildup\": [";
-  for (std::size_t b = 0; b < summary.wins_per_buildup.size(); ++b) {
-    out += strf("%s%zu", b ? ", " : "", summary.wins_per_buildup[b]);
-  }
-  out += "]\n}\n";
+  std::string out;
+  count(out, "{\n  \"cells\": ", summary.cells);
+  num(out, ",\n  \"cost_mean\": ", summary.cost_mean);
+  num(out, ",\n  \"cost_stddev\": ", summary.cost_stddev);
+  out += ",\n  \"best\": ";
+  append_scenario_cell(out, summary.best);
+  out += ",\n  \"worst\": ";
+  append_scenario_cell(out, summary.worst);
+  out += ",\n  \"wins_per_buildup\": ";
+  append_counts(out, summary.wins_per_buildup);
+  out += "\n}\n";
   return out;
 }
 
 std::string batch_result_json(const BatchAssessmentResult& result) {
-  std::string out = "{\n";
-  out += strf("  \"points\": %zu,\n  \"buildups\": %zu,\n", result.points,
-              result.buildups);
-  out += "  \"summaries\": [\n";
+  std::string out;
+  count(out, "{\n  \"points\": ", result.points);
+  count(out, ",\n  \"buildups\": ", result.buildups);
+  out += ",\n  \"summaries\": [\n";
   for (std::size_t i = 0; i < result.summaries.size(); ++i) {
     const BuildUpSummary& s = result.summaries[i];
-    out += strf(
-        "    {\"performance\": %s, \"module_area_mm2\": %s, \"area_rel\": %s, "
-        "\"shipped_fraction\": %s, \"direct_cost\": %s, \"chip_cost_direct\": %s, "
-        "\"yield_loss_per_shipped\": %s, \"nre_per_shipped\": %s, "
-        "\"final_cost_per_shipped\": %s, \"cost_rel\": %s, \"fom\": %s}%s\n",
-        jnum(s.performance).c_str(), jnum(s.module_area_mm2).c_str(),
-        jnum(s.area_rel).c_str(), jnum(s.shipped_fraction).c_str(),
-        jnum(s.direct_cost).c_str(), jnum(s.chip_cost_direct).c_str(),
-        jnum(s.yield_loss_per_shipped).c_str(), jnum(s.nre_per_shipped).c_str(),
-        jnum(s.final_cost_per_shipped).c_str(), jnum(s.cost_rel).c_str(),
-        jnum(s.fom).c_str(), i + 1 < result.summaries.size() ? "," : "");
+    num(out, "    {\"performance\": ", s.performance);
+    num(out, ", \"module_area_mm2\": ", s.module_area_mm2);
+    num(out, ", \"area_rel\": ", s.area_rel);
+    num(out, ", \"shipped_fraction\": ", s.shipped_fraction);
+    num(out, ", \"direct_cost\": ", s.direct_cost);
+    num(out, ", \"chip_cost_direct\": ", s.chip_cost_direct);
+    num(out, ", \"yield_loss_per_shipped\": ", s.yield_loss_per_shipped);
+    num(out, ", \"nre_per_shipped\": ", s.nre_per_shipped);
+    num(out, ", \"final_cost_per_shipped\": ", s.final_cost_per_shipped);
+    num(out, ", \"cost_rel\": ", s.cost_rel);
+    num(out, ", \"fom\": ", s.fom);
+    out += i + 1 < result.summaries.size() ? "},\n" : "}\n";
   }
-  out += "  ],\n  \"winners\": [";
-  for (std::size_t p = 0; p < result.winners.size(); ++p) {
-    out += strf("%s%zu", p ? ", " : "", result.winners[p]);
-  }
-  out += "]\n}\n";
+  out += "  ],\n  \"winners\": ";
+  append_counts(out, result.winners);
+  out += "\n}\n";
   return out;
 }
 
 std::string tolerance_result_json(const rf::ToleranceResult& result) {
-  return strf(
-      "{\"samples\": %zu, \"passing\": %zu, \"parametric_yield\": %s, "
-      "\"ci95_half_width\": %s, \"metric_mean\": %s, \"metric_stddev\": %s, "
-      "\"metric_min\": %s, \"metric_max\": %s}",
-      result.samples, result.passing, jnum(result.parametric_yield).c_str(),
-      jnum(result.ci95_half_width).c_str(), jnum(result.metric_mean).c_str(),
-      jnum(result.metric_stddev).c_str(), jnum(result.metric_min).c_str(),
-      jnum(result.metric_max).c_str());
+  std::string out;
+  count(out, "{\"samples\": ", result.samples);
+  count(out, ", \"passing\": ", result.passing);
+  num(out, ", \"parametric_yield\": ", result.parametric_yield);
+  num(out, ", \"ci95_half_width\": ", result.ci95_half_width);
+  num(out, ", \"metric_mean\": ", result.metric_mean);
+  num(out, ", \"metric_stddev\": ", result.metric_stddev);
+  num(out, ", \"metric_min\": ", result.metric_min);
+  num(out, ", \"metric_max\": ", result.metric_max);
+  out += '}';
+  return out;
 }
 
 std::string performance_csv(const DecisionReport& report) {

@@ -14,8 +14,9 @@ namespace ipass::core {
 // decomposition (Eq. 1 terms), figure of merit.
 std::string decision_report_csv(const DecisionReport& report);
 
-// Full-fidelity JSON dump of a DecisionReport.  Doubles are printed with
-// %.17g, which round-trips IEEE-754 binary64 exactly, so two reports whose
+// Full-fidelity JSON dump of a DecisionReport, built with the library's one
+// JSON writer (common/jsonfmt.hpp).  Doubles take the %.17g format, which
+// round-trips IEEE-754 binary64 exactly, so two reports whose
 // serializations match are bitwise-identical field for field — this is the
 // format of the golden files under tests/gps/golden/.
 std::string decision_report_json(const DecisionReport& report);
@@ -29,7 +30,7 @@ std::string scenario_grid_summary_json(const ScenarioGridSummary& summary);
 std::string tolerance_result_json(const rf::ToleranceResult& result);
 
 // And for the batched pipeline engine: every BuildUpSummary of a
-// BatchAssessmentResult with %.17g doubles, so a golden file pins the
+// BatchAssessmentResult in the %.17g format, so a golden file pins the
 // compiled/batched walk to the bit alongside the analytic and scenario-grid
 // engines (tests/gps/golden/si_interposer_fleet.json).
 std::string batch_result_json(const BatchAssessmentResult& result);

@@ -114,79 +114,99 @@ core::YieldSemantics parse_semantics(const std::string& t) {
 }
 
 // --------------------------------------------------------------- writing
+//
+// Each helper appends `text` verbatim (the separator and key of the field)
+// and then the value, so the literals below read as the document itself.
 
 // %.17g round-trips every finite binary64 exactly — but only finite ones:
 // printing a non-finite field would emit 'inf'/'nan', which is not JSON
 // and which no loader (including ours) could read back.  Fail loudly at
 // serialization time instead of writing an unreadable document.
-std::string jnum(double v) {
-  require(std::isfinite(v),
-          "kit JSON: non-finite number cannot be serialized");
-  return json_number(v);
+void num(std::string& out, const char* text, double v) {
+  require(std::isfinite(v), "kit JSON: non-finite number cannot be serialized");
+  out += text;
+  append_json_number(out, v);
 }
 
-std::string jstr(const std::string& s) { return strf("\"%s\"", json_escape(s).c_str()); }
-
-std::string qmodel_json(const rf::QModel& q) {
-  return strf("{\"q_peak\": %s, \"f_peak\": %s, \"slope\": %s}",
-              jnum(q.q_peak()).c_str(), jnum(q.f_peak()).c_str(),
-              jnum(q.slope()).c_str());
+void str(std::string& out, const char* text, const std::string& s) {
+  out += text;
+  append_json_string(out, s);
 }
 
-std::string substrate_json(const tech::SubstrateTechnology& s) {
-  return strf(
-      "{\"name\": %s, \"kind\": \"%s\", \"cost_per_cm2\": %s, \"fab_yield\": %s, "
-      "\"routing_overhead\": %s, \"edge_clearance_mm\": %s, "
-      "\"supports_integrated_passives\": %s, \"double_sided\": %s}",
-      jstr(s.name).c_str(), kind_token(s.kind), jnum(s.cost_per_cm2).c_str(),
-      jnum(s.fab_yield).c_str(), jnum(s.routing_overhead).c_str(),
-      jnum(s.edge_clearance_mm).c_str(),
-      s.supports_integrated_passives ? "true" : "false",
-      s.double_sided ? "true" : "false");
+void token(std::string& out, const char* text, const char* t) {
+  out += text;
+  out += '"';
+  out += t;
+  out += '"';
 }
 
-std::string capacitor_json(const tech::CapacitorProcess& c) {
-  return strf(
-      "{\"dielectric\": \"%s\", \"density_pf_mm2\": %s, \"terminal_overhead_mm2\": %s, "
-      "\"quality\": %s}",
-      dielectric_token(c.dielectric), jnum(c.density_pf_mm2).c_str(),
-      jnum(c.terminal_overhead_mm2).c_str(), qmodel_json(c.quality).c_str());
+void boolean(std::string& out, const char* text, bool b) {
+  out += text;
+  out += b ? "true" : "false";
 }
 
-std::string passives_json(const KitPassives& p) {
-  std::string out = "{\n";
-  out += strf(
-      "      \"resistor\": {\"sheet_ohm_sq\": %s, \"line_width_um\": %s, "
-      "\"meander_pitch_factor\": %s, \"contact_pad_area_mm2\": %s, \"tolerance\": %s, "
-      "\"trimmed_tolerance\": %s},\n",
-      jnum(p.resistor.sheet_ohm_sq).c_str(), jnum(p.resistor.line_width_um).c_str(),
-      jnum(p.resistor.meander_pitch_factor).c_str(),
-      jnum(p.resistor.contact_pad_area_mm2).c_str(), jnum(p.resistor.tolerance).c_str(),
-      jnum(p.resistor.trimmed_tolerance).c_str());
-  out += strf("      \"precision_cap\": %s,\n", capacitor_json(p.precision_cap).c_str());
-  out += strf("      \"decap_cap\": %s,\n", capacitor_json(p.decap_cap).c_str());
-  out += strf(
-      "      \"spiral\": {\"line_width_um\": %s, \"line_spacing_um\": %s, "
-      "\"metal_sheet_ohm_sq\": %s, \"fill_ratio\": %s, \"guard_clearance_um\": %s, "
-      "\"wheeler_k1\": %s, \"wheeler_k2\": %s, \"substrate_q_factor\": %s, "
-      "\"max_q_peak\": %s, \"q_peak_freq_hz\": %s, \"q_slope\": %s},\n",
-      jnum(p.spiral.line_width_um).c_str(), jnum(p.spiral.line_spacing_um).c_str(),
-      jnum(p.spiral.metal_sheet_ohm_sq).c_str(), jnum(p.spiral.fill_ratio).c_str(),
-      jnum(p.spiral.guard_clearance_um).c_str(), jnum(p.spiral.wheeler_k1).c_str(),
-      jnum(p.spiral.wheeler_k2).c_str(), jnum(p.spiral.substrate_q_factor).c_str(),
-      jnum(p.spiral.max_q_peak).c_str(), jnum(p.spiral.q_peak_freq_hz).c_str(),
-      jnum(p.spiral.q_slope).c_str());
-  out += strf("      \"integrated_filter_overhead\": %s,\n",
-              jnum(p.integrated_filter_overhead).c_str());
-  out += strf("      \"integrated_filter_spacing_mm2\": %s\n    }",
-              jnum(p.integrated_filter_spacing_mm2).c_str());
-  return out;
+void append_qmodel(std::string& out, const rf::QModel& q) {
+  num(out, "{\"q_peak\": ", q.q_peak());
+  num(out, ", \"f_peak\": ", q.f_peak());
+  num(out, ", \"slope\": ", q.slope());
+  out += '}';
 }
 
-std::string production_json(const core::ProductionData& pd) {
-  std::string out = "{\n";
-  const auto field = [&](const char* name, double v, const char* sep = ",") {
-    out += strf("        \"%s\": %s%s\n", name, jnum(v).c_str(), sep);
+void append_substrate(std::string& out, const tech::SubstrateTechnology& s) {
+  str(out, "{\"name\": ", s.name);
+  token(out, ", \"kind\": ", kind_token(s.kind));
+  num(out, ", \"cost_per_cm2\": ", s.cost_per_cm2);
+  num(out, ", \"fab_yield\": ", s.fab_yield);
+  num(out, ", \"routing_overhead\": ", s.routing_overhead);
+  num(out, ", \"edge_clearance_mm\": ", s.edge_clearance_mm);
+  boolean(out, ", \"supports_integrated_passives\": ", s.supports_integrated_passives);
+  boolean(out, ", \"double_sided\": ", s.double_sided);
+  out += '}';
+}
+
+void append_capacitor(std::string& out, const tech::CapacitorProcess& c) {
+  token(out, "{\"dielectric\": ", dielectric_token(c.dielectric));
+  num(out, ", \"density_pf_mm2\": ", c.density_pf_mm2);
+  num(out, ", \"terminal_overhead_mm2\": ", c.terminal_overhead_mm2);
+  out += ", \"quality\": ";
+  append_qmodel(out, c.quality);
+  out += '}';
+}
+
+void append_passives(std::string& out, const KitPassives& p) {
+  num(out, "{\n      \"resistor\": {\"sheet_ohm_sq\": ", p.resistor.sheet_ohm_sq);
+  num(out, ", \"line_width_um\": ", p.resistor.line_width_um);
+  num(out, ", \"meander_pitch_factor\": ", p.resistor.meander_pitch_factor);
+  num(out, ", \"contact_pad_area_mm2\": ", p.resistor.contact_pad_area_mm2);
+  num(out, ", \"tolerance\": ", p.resistor.tolerance);
+  num(out, ", \"trimmed_tolerance\": ", p.resistor.trimmed_tolerance);
+  out += "},\n      \"precision_cap\": ";
+  append_capacitor(out, p.precision_cap);
+  out += ",\n      \"decap_cap\": ";
+  append_capacitor(out, p.decap_cap);
+  num(out, ",\n      \"spiral\": {\"line_width_um\": ", p.spiral.line_width_um);
+  num(out, ", \"line_spacing_um\": ", p.spiral.line_spacing_um);
+  num(out, ", \"metal_sheet_ohm_sq\": ", p.spiral.metal_sheet_ohm_sq);
+  num(out, ", \"fill_ratio\": ", p.spiral.fill_ratio);
+  num(out, ", \"guard_clearance_um\": ", p.spiral.guard_clearance_um);
+  num(out, ", \"wheeler_k1\": ", p.spiral.wheeler_k1);
+  num(out, ", \"wheeler_k2\": ", p.spiral.wheeler_k2);
+  num(out, ", \"substrate_q_factor\": ", p.spiral.substrate_q_factor);
+  num(out, ", \"max_q_peak\": ", p.spiral.max_q_peak);
+  num(out, ", \"q_peak_freq_hz\": ", p.spiral.q_peak_freq_hz);
+  num(out, ", \"q_slope\": ", p.spiral.q_slope);
+  num(out, "},\n      \"integrated_filter_overhead\": ", p.integrated_filter_overhead);
+  num(out, ",\n      \"integrated_filter_spacing_mm2\": ", p.integrated_filter_spacing_mm2);
+  out += "\n    }";
+}
+
+void append_production(std::string& out, const core::ProductionData& pd) {
+  out += "{\n";
+  const auto field = [&](const char* name, double v) {
+    out += "        \"";
+    out += name;
+    num(out, "\": ", v);
+    out += ",\n";
   };
   field("rf_chip_cost", pd.rf_chip_cost);
   field("rf_chip_yield", pd.rf_chip_yield);
@@ -211,28 +231,29 @@ std::string production_json(const core::ProductionData& pd) {
   out += "        \"dies\": [";
   for (std::size_t i = 0; i < pd.dies.size(); ++i) {
     const core::DieSpec& d = pd.dies[i];
-    out += strf(
-        "%s{\"name\": %s, \"cost\": %s, \"yield\": %s, \"kgd_test_cost\": %s, "
-        "\"kgd_escape\": %s, \"nre\": %s}",
-        i ? ", " : "", jstr(d.name).c_str(), jnum(d.cost).c_str(),
-        jnum(d.yield).c_str(), jnum(d.kgd_test_cost).c_str(),
-        jnum(d.kgd_escape).c_str(), jnum(d.nre).c_str());
+    if (i) out += ", ";
+    str(out, "{\"name\": ", d.name);
+    num(out, ", \"cost\": ", d.cost);
+    num(out, ", \"yield\": ", d.yield);
+    num(out, ", \"kgd_test_cost\": ", d.kgd_test_cost);
+    num(out, ", \"kgd_escape\": ", d.kgd_escape);
+    num(out, ", \"nre\": ", d.nre);
+    out += '}';
   }
-  out += "],\n";
-  out += strf("        \"semantics\": \"%s\"\n      }", semantics_token(pd.semantics));
-  return out;
+  token(out, "],\n        \"semantics\": ", semantics_token(pd.semantics));
+  out += "\n      }";
 }
 
-std::string variant_json(const KitVariant& v) {
-  std::string out = "{\n";
-  out += strf("      \"name\": %s,\n", jstr(v.name).c_str());
-  out += strf("      \"policy\": \"%s\",\n", policy_token(v.policy));
-  out += strf("      \"die_attach\": \"%s\",\n", attach_token(v.die_attach));
-  out += strf("      \"parts_grade\": \"%s\",\n", grade_token(v.parts_grade));
-  out += strf("      \"uses_laminate\": %s,\n", v.uses_laminate ? "true" : "false");
-  out += strf("      \"smd_on_laminate\": %s,\n", v.smd_on_laminate ? "true" : "false");
-  out += strf("      \"production\": %s\n    }", production_json(v.production).c_str());
-  return out;
+void append_variant(std::string& out, const KitVariant& v) {
+  str(out, "{\n      \"name\": ", v.name);
+  token(out, ",\n      \"policy\": ", policy_token(v.policy));
+  token(out, ",\n      \"die_attach\": ", attach_token(v.die_attach));
+  token(out, ",\n      \"parts_grade\": ", grade_token(v.parts_grade));
+  boolean(out, ",\n      \"uses_laminate\": ", v.uses_laminate);
+  boolean(out, ",\n      \"smd_on_laminate\": ", v.smd_on_laminate);
+  out += ",\n      \"production\": ";
+  append_production(out, v.production);
+  out += "\n    }";
 }
 
 rf::QModel read_qmodel(const JsonValue& v, const std::string& scope) {
@@ -398,21 +419,28 @@ ProcessKit read_kit(const JsonValue& v) {
 
 }  // namespace
 
-std::string kit_json(const ProcessKit& kit) {
-  std::string out = "{\n";
-  out += strf("    \"name\": %s,\n", jstr(kit.name).c_str());
-  out += strf("    \"version\": %s,\n", jstr(kit.version).c_str());
-  out += strf("    \"maturity\": \"%s\",\n", maturity_token(kit.maturity));
-  out += strf("    \"notes\": %s,\n", jstr(kit.notes).c_str());
-  out += strf("    \"substrate\": %s,\n", substrate_json(kit.substrate).c_str());
-  out += strf("    \"passives\": %s,\n", passives_json(kit.passives).c_str());
-  out += strf("    \"corner\": {\"fault_scale\": %s, \"cost_scale\": %s},\n",
-              jnum(kit.corner.fault_scale).c_str(), jnum(kit.corner.cost_scale).c_str());
-  out += "    \"variants\": [";
+void append_kit_json(std::string& out, const ProcessKit& kit) {
+  str(out, "{\n    \"name\": ", kit.name);
+  str(out, ",\n    \"version\": ", kit.version);
+  token(out, ",\n    \"maturity\": ", maturity_token(kit.maturity));
+  str(out, ",\n    \"notes\": ", kit.notes);
+  out += ",\n    \"substrate\": ";
+  append_substrate(out, kit.substrate);
+  out += ",\n    \"passives\": ";
+  append_passives(out, kit.passives);
+  num(out, ",\n    \"corner\": {\"fault_scale\": ", kit.corner.fault_scale);
+  num(out, ", \"cost_scale\": ", kit.corner.cost_scale);
+  out += "},\n    \"variants\": [";
   for (std::size_t i = 0; i < kit.variants.size(); ++i) {
-    out += strf("%s%s", i ? ", " : "", variant_json(kit.variants[i]).c_str());
+    if (i) out += ", ";
+    append_variant(out, kit.variants[i]);
   }
   out += "]\n}\n";
+}
+
+std::string kit_json(const ProcessKit& kit) {
+  std::string out;
+  append_kit_json(out, kit);
   return out;
 }
 
@@ -420,7 +448,7 @@ std::string registry_json(const KitRegistry& registry) {
   std::string out = "{\"kits\": [\n";
   const std::vector<ProcessKit>& kits = registry.kits();
   for (std::size_t i = 0; i < kits.size(); ++i) {
-    out += kit_json(kits[i]);
+    append_kit_json(out, kits[i]);
     if (i + 1 < kits.size()) out += ",\n";
   }
   out += "]}\n";

@@ -1,7 +1,8 @@
 // JSON exchange for process kits: kits are data, not code.
 //
-// The serializer prints every double with %.17g (the scheme of
-// core::export and the golden files), which round-trips IEEE-754 binary64
+// The serializer uses the library's one JSON writer (common/jsonfmt.hpp,
+// shared with core::export and the served responses): every double in the
+// %.17g format of the golden files, which round-trips IEEE-754 binary64
 // exactly; the loader parses with strtod — so kit -> JSON -> kit is
 // bit-identical field for field, and a kit file produced on one machine
 // reproduces the same assessment everywhere.  The loader validates on the
@@ -16,7 +17,12 @@
 
 namespace ipass::kits {
 
-// One kit as a JSON object.
+// One kit as a JSON object, appended to `out` (the study cache key embeds
+// this exact text).  Throws PreconditionError on a non-finite number; `out`
+// then holds a partial document.
+void append_kit_json(std::string& out, const ProcessKit& kit);
+
+// The same as a string of its own.
 std::string kit_json(const ProcessKit& kit);
 
 // A whole registry: {"kits": [ ... ]} in insertion order.

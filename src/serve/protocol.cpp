@@ -125,7 +125,7 @@ AssessmentRequest parse_request(const std::string& text) {
 
 std::string study_cache_key(const AssessmentRequest& request) {
   std::string key;
-  key.reserve(128);
+  key.reserve(request.has_inline_kit ? 4096 : 128);  // kit_json is ~3 KB
   key += "bom=";
   key += request.bom;
   key += ";reference=";
@@ -134,9 +134,9 @@ std::string study_cache_key(const AssessmentRequest& request) {
   key += request.scope == core::PipelineScope::Full ? "full" : "cost-only";
   key += ";kit=";
   if (request.has_inline_kit) {
-    // Canonical %.17g serialization: two inline documents that parse to the
-    // same kit (whitespace, field order) share one compile artifact.
-    key += kits::kit_json(request.inline_kit);
+    // Canonical kit_json text: two inline documents that parse to the same
+    // kit (whitespace, field order) share one compile artifact.
+    kits::append_kit_json(key, request.inline_kit);
   } else {
     key += "name:";
     key += request.kit_name;
@@ -146,9 +146,14 @@ std::string study_cache_key(const AssessmentRequest& request) {
 
 std::string error_response(const std::string& id, ErrorCode code,
                            const std::string& message) {
-  return strf("{\"id\": \"%s\", \"status\": \"error\", \"code\": \"%s\", \"message\": \"%s\"}",
-              json_escape(id).c_str(), error_code_name(code),
-              json_escape(message).c_str());
+  std::string out = "{\"id\": ";
+  append_json_string(out, id);
+  out += ", \"status\": \"error\", \"code\": \"";
+  out += error_code_name(code);
+  out += "\", \"message\": ";
+  append_json_string(out, message);
+  out += "}";
+  return out;
 }
 
 }  // namespace ipass::serve

@@ -12,8 +12,9 @@
 //
 // The assessment anchors the reference kit's build-ups as the 100% rows
 // (exactly like kits::sweep_kits) and appends the requested kit's variants.
-// Responses are a single line of JSON with every double printed %.17g, so
-// a response stream is bit-reproducible across thread counts and replays:
+// Responses are a single line of JSON built with the library's one writer
+// (common/jsonfmt.hpp), every double in the %.17g format, so a response
+// stream is bit-reproducible across thread counts and replays:
 //   {"id": "r1", "status": "ok", "degraded": false, ...}
 //   {"id": "r1", "status": "error", "code": "deadline", "message": "..."}
 #pragma once
@@ -69,13 +70,14 @@ struct AssessmentRequest {
 // well-formed document that violates the envelope contract.
 AssessmentRequest parse_request(const std::string& text);
 
-// Identity of the compile artifact a request needs: the canonical %.17g
-// kit document plus reference/bom/scope.  Everything else in the request
-// (weights, volume, deadline, stages) is per-request evaluation state and
-// deliberately NOT part of the key — repeat traffic over the same study
-// skips MNA/area compilation entirely.  The key is the exact canonical
-// string (no lossy hashing): a collision could silently serve the wrong
-// study, and the cache is size-bounded anyway.
+// Identity of the compile artifact a request needs: the canonical kit_json
+// text of the kit (doubles in the %.17g format) plus reference/bom/scope.
+// Everything else in the request (weights, volume, deadline, stages) is
+// per-request evaluation state and deliberately NOT part of the key —
+// repeat traffic over the same study skips MNA/area compilation entirely.
+// The key is the exact canonical string (no lossy hashing): a collision
+// could silently serve the wrong study, and the cache is size-bounded
+// anyway.
 std::string study_cache_key(const AssessmentRequest& request);
 
 // One response line for a failed request.  `message` is escaped; `code`

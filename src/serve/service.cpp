@@ -44,14 +44,13 @@ struct DeadlineGuard {
 void append_buildup_json(std::string& out, const std::string& name,
                          const core::BuildUpSummary& s, bool has_frontier,
                          bool frontier) {
-  out += "{\"name\": \"";
-  out += json_escape(name);
-  out += "\"";
+  out += "{\"name\": ";
+  append_json_string(out, name);
   const auto field = [&](const char* key, double v) {
     out += ", \"";
     out += key;
     out += "\": ";
-    out += json_number(v);
+    append_json_number(out, v);
   };
   field("performance", s.performance);
   field("module_area_mm2", s.module_area_mm2);
@@ -459,12 +458,14 @@ AssessmentService::Outcome AssessmentService::run_assessment(
   const bool is_reference = !request.has_inline_kit && kit.name == reference.name;
   const std::size_t own_offset = is_reference ? 0 : reference.variants.size();
 
+  // The cache stage covers deriving the key (an inline kit is serialized
+  // into it) as well as the lookup or compile.
+  const auto cache_start = std::chrono::steady_clock::now();
   const std::string key = study_cache_key(request);
   if (faults.fires(task.seq, FaultKind::Evict)) cache_.evict(key);
 
   // Same study shape as kits::sweep_kits: the reference kit's build-ups
   // anchor the 100% rows, the requested kit's variants follow.
-  const auto cache_start = std::chrono::steady_clock::now();
   CacheOutcome cache_outcome = CacheOutcome::None;
   const std::shared_ptr<const core::CompiledStudy> study = cache_.get_or_compile(
       key,
@@ -554,17 +555,19 @@ AssessmentService::Outcome AssessmentService::run_assessment(
   const auto serialize_start = std::chrono::steady_clock::now();
   std::string out;
   out.reserve(1024);
-  out += "{\"id\": \"";
-  out += json_escape(request.id);
-  out += "\", \"status\": \"ok\", \"degraded\": ";
+  out += "{\"id\": ";
+  append_json_string(out, request.id);
+  out += ", \"status\": \"ok\", \"degraded\": ";
   out += degraded ? "true" : "false";
-  out += ", \"kit\": \"";
-  out += json_escape(kit.name);
-  out += "\", \"reference\": \"";
-  out += json_escape(reference.name);
-  out += "\", \"scope\": \"";
+  out += ", \"kit\": ";
+  append_json_string(out, kit.name);
+  out += ", \"reference\": ";
+  append_json_string(out, reference.name);
+  out += ", \"scope\": \"";
   out += request.scope == core::PipelineScope::Full ? "full" : "cost-only";
-  out += strf("\", \"winner\": %zu, \"buildups\": [", batch.winners[0]);
+  out += "\", \"winner\": ";
+  out += std::to_string(batch.winners[0]);
+  out += ", \"buildups\": [";
   for (std::size_t b = 0; b < n; ++b) {
     if (b > 0) out += ", ";
     append_buildup_json(out, study->buildups[b].name, batch.at(0, b),
@@ -572,20 +575,20 @@ AssessmentService::Outcome AssessmentService::run_assessment(
   }
   out += "]";
   if (have_sensitivity) {
-    out += ", \"sensitivity\": {\"buildup\": \"";
-    out += json_escape(study->buildups[sensitivity_target].name);
-    out += "\", \"rows\": [";
+    out += ", \"sensitivity\": {\"buildup\": ";
+    append_json_string(out, study->buildups[sensitivity_target].name);
+    out += ", \"rows\": [";
     for (std::size_t i = 0; i < sensitivity.rows.size(); ++i) {
       const core::SensitivityRow& row = sensitivity.rows[i];
       if (i > 0) out += ", ";
-      out += "{\"input\": \"";
-      out += json_escape(row.input);
-      out += "\", \"elasticity\": ";
-      out += json_number(row.elasticity);
+      out += "{\"input\": ";
+      append_json_string(out, row.input);
+      out += ", \"elasticity\": ";
+      append_json_number(out, row.elasticity);
       out += ", \"base_cost\": ";
-      out += json_number(row.base_cost);
+      append_json_number(out, row.base_cost);
       out += ", \"perturbed_cost\": ";
-      out += json_number(row.perturbed_cost);
+      append_json_number(out, row.perturbed_cost);
       out += "}";
     }
     out += "]}";
