@@ -19,6 +19,7 @@
 #include "gps/casestudy.hpp"
 #include "gps/published.hpp"
 #include "kits/fleet.hpp"
+#include "kits/kit_json.hpp"
 #include "kits/registry.hpp"
 #include "moe/montecarlo.hpp"
 #include "rf/analysis.hpp"
@@ -545,6 +546,34 @@ void BM_ServeRequestColdCompile(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServeRequestColdCompile)->UseRealTime();
+
+// A study-cache miss on a kit whose electrical inputs are already known:
+// each request carries an inline cost variant of mcm-d-si-ip (its own
+// substrate cost, so its own study key), and the performance tier already
+// holds every build-up's rows.  The request pays inline-kit parsing, area
+// realization and cost flattening but no MNA sweep; next to
+// BM_ServeRequestColdCompile it shows what the performance tier saves.
+void BM_ServeRequestWarmKitMiss(benchmark::State& state) {
+  serve::AssessmentService service;
+  const kits::ProcessKit base = kits::builtin_kit_registry().at(kits::kMcmDSiIpKit);
+  // More distinct studies than the study tier holds, so every one misses.
+  constexpr std::size_t kVariants = 64;
+  std::vector<std::string> requests;
+  for (std::size_t i = 0; i < kVariants; ++i) {
+    kits::ProcessKit kit = base;
+    kit.substrate.cost_per_cm2 *= 1.0 + 0.001 * static_cast<double>(i + 1);
+    requests.push_back("{\"id\": \"bench\", \"kit\": " + kits::kit_json(kit) + "}");
+  }
+  benchmark::DoNotOptimize(
+      service.handle(R"({"id": "bench", "kit_name": "mcm-d-si-ip"})"));  // warm the rows
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.handle(requests[next]));
+    next = (next + 1) % kVariants;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeRequestWarmKitMiss)->UseRealTime();
 
 }  // namespace
 

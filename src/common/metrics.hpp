@@ -22,7 +22,8 @@
 // never back into any response, which is what keeps request replay
 // byte-identical with metrics enabled (pinned by the serve metrics suite).
 //
-// Profiling hooks (core::compile_study, AssessmentPipeline::evaluate) are
+// Profiling hooks (core::compile_study, core::assess_performance,
+// AssessmentPipeline::evaluate) are
 // opt-in behind `set_profiling_enabled`: when off, the only cost at a hook
 // site is one relaxed atomic bool load.
 #pragma once
@@ -168,8 +169,8 @@ class MetricsRegistry {
 MetricsRegistry& global_metrics();
 
 // ---------------------------------------------------------------- profiling
-// Opt-in engine profiling (per-phase wall time of compile_study and the
-// batched evaluate).  Off by default; the hooks cost one relaxed atomic
+// Opt-in engine profiling (per-phase wall time of compile_study, the MNA
+// sweeps and the batched evaluate).  Off by default; the hooks cost one relaxed atomic
 // load when disabled.
 void set_profiling_enabled(bool enabled) noexcept;
 

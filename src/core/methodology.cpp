@@ -17,9 +17,10 @@ namespace {
 // Disabled, each hook site costs one relaxed atomic load and never reads the
 // clock; enabled, phase durations land in the global histograms below.  The
 // refs resolve lazily on the first *enabled* hit so a process that never
-// profiles never registers them.
+// profiles never registers them.  The MNA sweeps time themselves
+// (core_profile_mna_sweeps_ns, inside assess_performance), so a sweep that
+// a cache tier runs outside compile_study is profiled too.
 struct ProfileMetrics {
-  metrics::Histogram& mna_sweeps;     // assess_performance (MNA sweeps)
   metrics::Histogram& area;           // assess_area
   metrics::Histogram& cost_flatten;   // compile_cost_model
   metrics::Histogram& batch_walk;     // evaluate() batch walk
@@ -27,7 +28,6 @@ struct ProfileMetrics {
   static ProfileMetrics& instance() {
     auto& r = metrics::global_metrics();
     static ProfileMetrics m{
-        r.histogram("core_profile_mna_sweeps_ns"),
         r.histogram("core_profile_area_ns"),
         r.histogram("core_profile_cost_flatten_ns"),
         r.histogram("core_profile_batch_walk_ns"),
@@ -48,24 +48,34 @@ DecisionReport assess(const FunctionalBom& bom, const std::vector<BuildUp>& buil
 std::shared_ptr<const CompiledStudy> compile_study(const FunctionalBom& bom,
                                                    std::vector<BuildUp> buildups,
                                                    const TechKits& kits,
-                                                   PipelineScope scope) {
+                                                   PipelineScope scope,
+                                                   StudyParts given) {
   require(!buildups.empty(), "assess: need at least one build-up");
+  const std::size_t n = buildups.size();
+  require(given.performance.empty() || given.performance.size() == n,
+          "compile_study: given performance rows must match the build-ups");
+  require(given.areas.empty() || given.areas.size() == n,
+          "compile_study: given areas must match the build-ups");
   auto study = std::make_shared<CompiledStudy>();
   study->buildups = std::move(buildups);
   study->scope = scope;
-  study->performance.reserve(study->buildups.size());
-  study->areas.reserve(study->buildups.size());
-  study->compiled.reserve(study->buildups.size());
+  study->performance.reserve(n);
+  study->areas.reserve(n);
+  study->compiled.reserve(n);
   const bool profiling = metrics::profiling_enabled();
   ProfileMetrics* prof = profiling ? &ProfileMetrics::instance() : nullptr;
-  for (const BuildUp& b : study->buildups) {
-    {
-      metrics::ScopedTimer t(prof != nullptr ? &prof->mna_sweeps : nullptr);
-      study->performance.push_back(scope == PipelineScope::Full
-                                       ? assess_performance(bom, b, kits)
-                                       : PerformanceResult{});
+  for (std::size_t i = 0; i < n; ++i) {
+    const BuildUp& b = study->buildups[i];
+    if (scope == PipelineScope::CostOnly) {
+      study->performance.emplace_back();
+    } else if (!given.performance.empty()) {
+      study->performance.push_back(std::move(given.performance[i]));
+    } else {
+      study->performance.push_back(assess_performance(bom, b, kits));
     }
-    {
+    if (!given.areas.empty()) {
+      study->areas.push_back(std::move(given.areas[i]));
+    } else {
       metrics::ScopedTimer t(prof != nullptr ? &prof->area : nullptr);
       study->areas.push_back(assess_area(bom, b, kits));
     }

@@ -124,11 +124,21 @@ struct CompiledStudy {
   PipelineScope scope = PipelineScope::Full;
 };
 
+// Per-build-up results a caller already holds (a cache tier, an earlier
+// compile).  Each vector is empty, and compile_study computes it, or holds
+// one entry per build-up, taken as given: the caller vouches that each
+// equals assess_performance / assess_area of its build-up under the
+// study's BOM and kits.  Performance rows are read under Full scope only.
+struct StudyParts {
+  std::vector<PerformanceResult> performance;
+  std::vector<AreaResult> areas;
+};
+
 // Compiling runs the full performance and area assessment per build-up —
 // as expensive as one assess() call — so compile once, evaluate often.
 std::shared_ptr<const CompiledStudy> compile_study(
     const FunctionalBom& bom, std::vector<BuildUp> buildups, const TechKits& kits,
-    PipelineScope scope = PipelineScope::Full);
+    PipelineScope scope = PipelineScope::Full, StudyParts given = {});
 
 class AssessmentPipeline {
  public:

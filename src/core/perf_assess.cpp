@@ -1,13 +1,23 @@
 #include "core/perf_assess.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "common/error.hpp"
+#include "common/jsonfmt.hpp"
+#include "common/metrics.hpp"
 #include "common/strfmt.hpp"
 #include "common/table.hpp"
 #include "rf/analysis.hpp"
 
 namespace ipass::core {
+
+// performance_key spells out every field of these two; a new member must
+// be added to the key (or shown not to reach assess_performance).
+static_assert(detail::aggregate_field_count<tech::SpiralInductorProcess>() == 11,
+              "SpiralInductorProcess changed: update performance_key");
+static_assert(sizeof(rf::QModel) == 3 * sizeof(double),
+              "QModel changed: update performance_key");
 
 FilterPerformance assess_filter(const FilterSpec& spec, FilterStyle style,
                                 const TechKits& kits) {
@@ -42,6 +52,14 @@ FilterPerformance assess_filter(const FilterSpec& spec, FilterStyle style,
 
 PerformanceResult assess_performance(const FunctionalBom& bom, const BuildUp& buildup,
                                      const TechKits& kits) {
+  // Opt-in profiling: disabled, one relaxed load and no clock read.
+  metrics::Histogram* profile = nullptr;
+  if (metrics::profiling_enabled()) {
+    static metrics::Histogram& mna_sweeps =
+        metrics::global_metrics().histogram("core_profile_mna_sweeps_ns");
+    profile = &mna_sweeps;
+  }
+  const metrics::ScopedTimer timer(profile);
   PerformanceResult result;
   result.score = 1.0;
   for (const FilterSpec& f : bom.filters) {
@@ -51,6 +69,42 @@ PerformanceResult assess_performance(const FunctionalBom& bom, const BuildUp& bu
     result.filters.push_back(std::move(p));
   }
   return result;
+}
+
+std::string performance_key(const FunctionalBom& bom, const BuildUp& buildup,
+                            const TechKits& kits) {
+  std::string key;
+  key.reserve(320);
+  key += "{\"bom\": ";
+  append_json_string(key, bom.name);
+  key += ", \"policy\": ";
+  append_json_string(key, passive_policy_name(buildup.policy));
+  const bool reads_kits =
+      std::any_of(bom.filters.begin(), bom.filters.end(), [&](const FilterSpec& f) {
+        return filter_style_for(f, buildup.policy) != FilterStyle::SmdBlock;
+      });
+  if (reads_kits) {
+    const auto numbers = [&](std::initializer_list<double> values) {
+      key += '[';
+      const char* sep = "";
+      for (const double v : values) {
+        key += sep;
+        append_json_number(key, v);
+        sep = ", ";
+      }
+      key += ']';
+    };
+    const rf::QModel& q = kits.precision_cap.quality;
+    key += ", \"precision_cap_q\": ";
+    numbers({q.q_peak(), q.f_peak(), q.slope()});
+    const tech::SpiralInductorProcess& s = kits.spiral;
+    key += ", \"spiral\": ";
+    numbers({s.line_width_um, s.line_spacing_um, s.metal_sheet_ohm_sq, s.fill_ratio,
+             s.guard_clearance_um, s.wheeler_k1, s.wheeler_k2, s.substrate_q_factor,
+             s.max_q_peak, s.q_peak_freq_hz, s.q_slope});
+  }
+  key += '}';
+  return key;
 }
 
 std::string PerformanceResult::to_table() const {

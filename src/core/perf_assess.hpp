@@ -40,8 +40,22 @@ struct PerformanceResult {
 FilterPerformance assess_filter(const FilterSpec& spec, FilterStyle style,
                                 const TechKits& kits);
 
-// Assess the whole BOM under the build-up's policy.
+// Assess the whole BOM under the build-up's policy.  With profiling on
+// (metrics::set_profiling_enabled) each call's wall time lands in
+// core_profile_mna_sweeps_ns, whichever caller ran it.
 PerformanceResult assess_performance(const FunctionalBom& bom, const BuildUp& buildup,
                                      const TechKits& kits);
+
+// Canonical text of exactly what assess_performance(bom, buildup, kits)
+// reads, so equal keys mean bit-identical results (a cache of performance
+// rows keys on it).  It holds the BOM's name, which stands in for the
+// filter specs (a caller keys one BOM content per name), and the build-up's
+// passive policy.  When some filter is realized in an integrated style, it
+// also holds the precision-capacitor Q model and every spiral-inductor
+// field; a BOM realized wholly as catalog SMD blocks reads no kit field, so
+// its key leaves them out.  Cost, area, substrate and production inputs
+// never reach the MNA sweeps and never reach the key.
+std::string performance_key(const FunctionalBom& bom, const BuildUp& buildup,
+                            const TechKits& kits);
 
 }  // namespace ipass::core

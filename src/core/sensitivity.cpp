@@ -91,20 +91,23 @@ std::vector<SensitivityInput> standard_inputs() {
 }
 
 SensitivityReport cost_sensitivity(const FunctionalBom& bom, const BuildUp& buildup,
-                                   const TechKits& kits,
+                                   const TechKits& kits, const AreaResult& area,
                                    const SensitivityOptions& options) {
   const double rel_step = options.rel_step;
   require(rel_step > 0.0 && rel_step < 1.0, "cost_sensitivity: step must be in (0,1)");
   const bool central = options.difference == FiniteDifference::Central;
 
-  // Compile once (area realization only — the cost outputs never read the
+  // Compile once around the given area (the cost outputs never read the
   // performance simulations), then express every perturbed build-up as one
   // sweep point: its production data plus a recompiled cost model, which
   // carries the non-production inputs a perturbation can touch (substrate
   // cost/yield).  evaluate_compiled_cost is the bit-exact twin of the
   // build_flow + evaluate_analytic path, so each point's final cost equals
   // the historical per-perturbation re-assessment down to the last ulp.
-  AssessmentPipeline pipeline(bom, {buildup}, kits, PipelineScope::CostOnly);
+  StudyParts given;
+  given.areas = {area};
+  const AssessmentPipeline pipeline(
+      compile_study(bom, {buildup}, kits, PipelineScope::CostOnly, std::move(given)));
   const std::vector<SensitivityInput> inputs = standard_inputs();
 
   auto point_for = [&](const BuildUp& b, bool affects_area) {
@@ -155,6 +158,12 @@ SensitivityReport cost_sensitivity(const FunctionalBom& bom, const BuildUp& buil
               return std::abs(a.elasticity) > std::abs(b.elasticity);
             });
   return report;
+}
+
+SensitivityReport cost_sensitivity(const FunctionalBom& bom, const BuildUp& buildup,
+                                   const TechKits& kits,
+                                   const SensitivityOptions& options) {
+  return cost_sensitivity(bom, buildup, kits, assess_area(bom, buildup, kits), options);
 }
 
 SensitivityReport cost_sensitivity(const FunctionalBom& bom, const BuildUp& buildup,

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/area_assess.hpp"
 #include "core/buildup.hpp"
 #include "core/function_bom.hpp"
 #include "core/realization.hpp"
@@ -72,9 +73,17 @@ struct SensitivityReport {
   std::string to_table() const;
 };
 
-// Compute cost elasticities for one build-up (the BOM is realized per call,
-// so area-coupled effects — substrate cost follows substrate area — are
-// included).
+// Compute cost elasticities for one build-up whose realized area the
+// caller already holds: `area` must equal assess_area(bom, buildup, kits),
+// as a compiled study's areas[b] does for its build-up b under any
+// production data (volume never reaches area).  Only inputs that set
+// affects_area realize the BOM again.
+SensitivityReport cost_sensitivity(const FunctionalBom& bom, const BuildUp& buildup,
+                                   const TechKits& kits, const AreaResult& area,
+                                   const SensitivityOptions& options);
+
+// The same, realizing the build-up's area first (area-coupled effects —
+// substrate cost follows substrate area — are included).
 SensitivityReport cost_sensitivity(const FunctionalBom& bom, const BuildUp& buildup,
                                    const TechKits& kits,
                                    const SensitivityOptions& options);

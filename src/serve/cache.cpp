@@ -4,21 +4,25 @@
 
 namespace ipass::serve {
 
-CacheMetrics::CacheMetrics(metrics::MetricsRegistry& registry)
-    : hits(registry.counter("serve_cache_hits_total")),
-      misses(registry.counter("serve_cache_misses_total")),
-      waits(registry.counter("serve_cache_waits_total")),
-      evictions(registry.counter("serve_cache_evictions_total")),
-      failures(registry.counter("serve_cache_failures_total")) {}
+CacheMetrics::CacheMetrics(metrics::MetricsRegistry& registry,
+                           const std::string& prefix)
+    : hits(registry.counter(prefix + "_hits_total")),
+      misses(registry.counter(prefix + "_misses_total")),
+      waits(registry.counter(prefix + "_waits_total")),
+      evictions(registry.counter(prefix + "_evictions_total")),
+      failures(registry.counter(prefix + "_failures_total")) {}
 
-CompiledStudyCache::CompiledStudyCache(std::size_t capacity,
-                                       metrics::MetricsRegistry& registry)
-    : capacity_(capacity), metrics_(registry) {
-  require(capacity >= 1, "CompiledStudyCache: capacity must be at least 1");
+template <class T>
+KeyedCache<T>::KeyedCache(std::size_t capacity, metrics::MetricsRegistry& registry,
+                          const std::string& metrics_prefix)
+    : capacity_(capacity), metrics_(registry, metrics_prefix) {
+  require(capacity >= 1, "KeyedCache: capacity must be at least 1");
 }
 
-std::shared_ptr<const core::CompiledStudy> CompiledStudyCache::get_or_compile(
-    const std::string& key, const Compile& compile, CacheOutcome* outcome) {
+template <class T>
+typename KeyedCache<T>::Value KeyedCache<T>::get_or_compile(const std::string& key,
+                                                           const Compile& compile,
+                                                           CacheOutcome* outcome) {
   std::shared_ptr<Inflight> flight;
   {
     std::unique_lock<std::mutex> lk(m_);
@@ -27,7 +31,7 @@ std::shared_ptr<const core::CompiledStudy> CompiledStudyCache::get_or_compile(
       metrics_.hits.add();
       if (outcome != nullptr) *outcome = CacheOutcome::Hit;
       it->second.last_used = ++tick_;
-      return it->second.study;
+      return it->second.value;
     }
     const auto fit = inflight_.find(key);
     if (fit != inflight_.end()) {
@@ -40,7 +44,7 @@ std::shared_ptr<const core::CompiledStudy> CompiledStudyCache::get_or_compile(
       std::unique_lock<std::mutex> flk(flight->m);
       flight->cv.wait(flk, [&] { return flight->done; });
       if (flight->error) std::rethrow_exception(flight->error);
-      return flight->study;
+      return flight->value;
     }
     metrics_.misses.add();
     if (outcome != nullptr) *outcome = CacheOutcome::Miss;
@@ -49,11 +53,11 @@ std::shared_ptr<const core::CompiledStudy> CompiledStudyCache::get_or_compile(
   }
 
   // Compile outside the cache lock: hits and unrelated compiles proceed.
-  std::shared_ptr<const core::CompiledStudy> study;
+  Value value;
   std::exception_ptr error;
   try {
-    study = compile();
-    ensure(study != nullptr, "CompiledStudyCache: compile returned null");
+    value = compile();
+    ensure(value != nullptr, "KeyedCache: compile returned null");
   } catch (...) {
     error = std::current_exception();
   }
@@ -62,7 +66,7 @@ std::shared_ptr<const core::CompiledStudy> CompiledStudyCache::get_or_compile(
     std::lock_guard<std::mutex> lk(m_);
     inflight_.erase(key);
     if (!error) {
-      entries_[key] = Entry{study, ++tick_};
+      entries_[key] = Entry{value, ++tick_};
       trim_locked();
     } else {
       metrics_.failures.add();
@@ -70,17 +74,18 @@ std::shared_ptr<const core::CompiledStudy> CompiledStudyCache::get_or_compile(
   }
   {
     std::lock_guard<std::mutex> flk(flight->m);
-    flight->study = study;
+    flight->value = value;
     flight->error = error;
     flight->done = true;
   }
   flight->cv.notify_all();
 
   if (error) std::rethrow_exception(error);
-  return study;
+  return value;
 }
 
-bool CompiledStudyCache::evict(const std::string& key) {
+template <class T>
+bool KeyedCache<T>::evict(const std::string& key) {
   std::lock_guard<std::mutex> lk(m_);
   const bool existed = entries_.erase(key) > 0;
   if (existed) {
@@ -89,12 +94,14 @@ bool CompiledStudyCache::evict(const std::string& key) {
   return existed;
 }
 
-std::size_t CompiledStudyCache::size() const {
+template <class T>
+std::size_t KeyedCache<T>::size() const {
   std::lock_guard<std::mutex> lk(m_);
   return entries_.size();
 }
 
-void CompiledStudyCache::trim_locked() {
+template <class T>
+void KeyedCache<T>::trim_locked() {
   while (entries_.size() > capacity_) {
     auto lru = entries_.begin();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -104,5 +111,8 @@ void CompiledStudyCache::trim_locked() {
     metrics_.evictions.add();
   }
 }
+
+template class KeyedCache<core::CompiledStudy>;
+template class KeyedCache<core::PerformanceResult>;
 
 }  // namespace ipass::serve

@@ -101,7 +101,8 @@ ServiceMetrics::ServiceMetrics(metrics::MetricsRegistry& registry)
       serialize_ns(registry.histogram("serve_request_serialize_ns")),
       journal_append_ns(registry.histogram("serve_request_journal_append_ns")),
       total_ns(registry.histogram("serve_request_total_ns")),
-      cache(registry) {}
+      cache(registry, "serve_cache"),
+      perf_cache(registry, "serve_perf_cache") {}
 
 AssessmentService::AssessmentService(const ServiceOptions& options,
                                      metrics::MetricsRegistry* registry)
@@ -112,7 +113,8 @@ AssessmentService::AssessmentService(const ServiceOptions& options,
       metrics_(metrics_registry_),
       registry_(kits::builtin_kit_registry()),
       bom_(gps::gps_front_end_bom()),
-      cache_(options.cache_capacity, metrics_registry_),
+      cache_(options.cache_capacity, metrics_registry_, "serve_cache"),
+      perf_cache_(options.cache_capacity, metrics_registry_, "serve_perf_cache"),
       traces_(options.trace_capacity > 0 ? options.trace_capacity : 1) {
   require(options_.workers >= 1 && options_.workers <= 256,
           "AssessmentService: workers must be in [1, 256]");
@@ -465,7 +467,9 @@ AssessmentService::Outcome AssessmentService::run_assessment(
   if (faults.fires(task.seq, FaultKind::Evict)) cache_.evict(key);
 
   // Same study shape as kits::sweep_kits: the reference kit's build-ups
-  // anchor the 100% rows, the requested kit's variants follow.
+  // anchor the 100% rows, the requested kit's variants follow.  A study
+  // miss takes each build-up's performance rows from the performance tier,
+  // so only a kit with new electrical inputs runs MNA sweeps.
   CacheOutcome cache_outcome = CacheOutcome::None;
   const std::shared_ptr<const core::CompiledStudy> study = cache_.get_or_compile(
       key,
@@ -477,8 +481,20 @@ AssessmentService::Outcome AssessmentService::run_assessment(
             buildups.push_back(std::move(b));
           }
         }
-        return core::compile_study(bom_, std::move(buildups),
-                                   kits::apply_passives(kit), request.scope);
+        const core::TechKits tech = kits::apply_passives(kit);
+        core::StudyParts given;
+        if (request.scope == core::PipelineScope::Full) {
+          given.performance.reserve(buildups.size());
+          for (const core::BuildUp& b : buildups) {
+            given.performance.push_back(*perf_cache_.get_or_compile(
+                core::performance_key(bom_, b, tech), [&] {
+                  return std::make_shared<const core::PerformanceResult>(
+                      core::assess_performance(bom_, b, tech));
+                }));
+          }
+        }
+        return core::compile_study(bom_, std::move(buildups), tech, request.scope,
+                                   std::move(given));
       },
       &cache_outcome);
   if (trace != nullptr) {
@@ -545,7 +561,9 @@ AssessmentService::Outcome AssessmentService::run_assessment(
       if (request.volume > 0.0) target.production.volume = request.volume;
       core::SensitivityOptions opts;
       opts.threads = options_.eval_threads;
-      sensitivity = core::cost_sensitivity(bom_, target, kits::apply_passives(kit), opts);
+      // The compiled area serves: a volume override never reaches area.
+      sensitivity = core::cost_sensitivity(bom_, target, kits::apply_passives(kit),
+                                           study->areas[sensitivity_target], opts);
       have_sensitivity = true;
       deadline.check("after sensitivity");
     }

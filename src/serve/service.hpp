@@ -47,7 +47,9 @@ struct ServiceOptions {
   // 0 disables shedding (the replay/CI configuration — shedding depends on
   // racing queue depth, so determinism requires it off).
   std::size_t degrade_depth = 0;
-  std::size_t cache_capacity = 8;  // compiled studies kept (LRU)
+  // Entries kept by each of the two cache tiers (LRU): compiled studies in
+  // one, build-ups' performance rows in the other.
+  std::size_t cache_capacity = 8;
   unsigned eval_threads = 1;       // engine threads per request
   FaultPlan faults;                // deterministic fault injection
   // Durable request journal (empty = journaling off).  Every admission
@@ -96,7 +98,8 @@ struct ServiceMetrics {
   metrics::Histogram& serialize_ns;
   metrics::Histogram& journal_append_ns;
   metrics::Histogram& total_ns;
-  const CacheMetrics cache;
+  const CacheMetrics cache;       // study tier (serve_cache_*)
+  const CacheMetrics perf_cache;  // performance tier (serve_perf_cache_*)
 };
 
 class AssessmentService {
@@ -180,6 +183,7 @@ class AssessmentService {
   const kits::KitRegistry registry_;
   const core::FunctionalBom bom_;
   mutable CompiledStudyCache cache_;
+  mutable PerformanceCache perf_cache_;  // under cache_: MNA rows per build-up
   std::unique_ptr<Journal> journal_;  // null when journaling is off
 
   mutable std::mutex m_;

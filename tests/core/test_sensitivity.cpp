@@ -3,13 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "core/area_assess.hpp"
 #include "core/cost_assess.hpp"
+#include "core/methodology.hpp"
+#include "gps/bom.hpp"
 #include "gps/casestudy.hpp"
+#include "kits/registry.hpp"
 
 namespace ipass::core {
 namespace {
@@ -164,6 +170,50 @@ TEST(Sensitivity, PipelineBackedMatchesLegacyBitwise) {
           << " vs " << legacy.rows[i].perturbed_cost;
       EXPECT_TRUE(bits_equal(now.rows[i].elasticity, legacy.rows[i].elasticity))
           << "build-up " << b << " row " << i;
+    }
+  }
+}
+
+// The served path hands in the area its compiled study already holds (with
+// a volume override on the build-up, which never reaches area).  Its rows
+// equal the path that realizes the area itself, and the legacy reference,
+// to the bit: every built-in kit's build-ups, forward and central.
+TEST(Sensitivity, CompiledAreaOverloadMatchesRealizingPathBitwise) {
+  const FunctionalBom bom = gps::gps_front_end_bom();
+  const kits::KitRegistry registry = kits::builtin_kit_registry();
+  for (const std::string& name : registry.names()) {
+    const kits::ProcessKit& kit = registry.at(name);
+    const TechKits tech = kits::apply_passives(kit);
+    const std::shared_ptr<const CompiledStudy> study =
+        compile_study(bom, kits::make_buildups(kit), tech, PipelineScope::CostOnly);
+    for (std::size_t b = 0; b < study->buildups.size(); ++b) {
+      BuildUp target = study->buildups[b];
+      target.production.volume = 250000.0;
+      for (const FiniteDifference diff :
+           {FiniteDifference::Forward, FiniteDifference::Central}) {
+        SensitivityOptions opt;
+        opt.difference = diff;
+        const SensitivityReport given =
+            cost_sensitivity(bom, target, tech, study->areas[b], opt);
+        const SensitivityReport realized = cost_sensitivity(bom, target, tech, opt);
+        std::vector<SensitivityReport> references = {realized};
+        if (diff == FiniteDifference::Forward) {
+          references.push_back(legacy_cost_sensitivity(bom, target, tech, opt.rel_step));
+        }
+        for (const SensitivityReport& ref : references) {
+          ASSERT_EQ(given.rows.size(), ref.rows.size());
+          for (std::size_t i = 0; i < given.rows.size(); ++i) {
+            const SensitivityRow& x = given.rows[i];
+            const SensitivityRow& y = ref.rows[i];
+            EXPECT_EQ(x.input, y.input) << name << " build-up " << b << " row " << i;
+            EXPECT_TRUE(bits_equal(x.base_cost, y.base_cost) &&
+                        bits_equal(x.perturbed_cost, y.perturbed_cost) &&
+                        bits_equal(x.perturbed_cost_down, y.perturbed_cost_down) &&
+                        bits_equal(x.elasticity, y.elasticity))
+                << name << " build-up " << b << " row " << i << " (" << x.input << ")";
+          }
+        }
+      }
     }
   }
 }

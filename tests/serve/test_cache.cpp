@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -140,6 +142,99 @@ TEST(StudyCache, FailedCompileReachesEveryWaiterAndIsNotCached) {
 TEST(StudyCache, CapacityMustBePositive) {
   metrics::MetricsRegistry registry;
   EXPECT_THROW(CompiledStudyCache(0, registry), PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// The KeyedCache template behind both service tiers: single-flight, failure
+// propagation and the capacity bound hold for each instantiation.
+
+template <class T>
+std::shared_ptr<const T> make_value();
+
+template <>
+std::shared_ptr<const core::CompiledStudy> make_value<core::CompiledStudy>() {
+  return compile_reference();
+}
+
+template <>
+std::shared_ptr<const core::PerformanceResult> make_value<core::PerformanceResult>() {
+  auto row = std::make_shared<core::PerformanceResult>();
+  row->score = 0.5;
+  return row;
+}
+
+template <class T>
+class KeyedCacheTier : public ::testing::Test {};
+
+using Tiers = ::testing::Types<core::CompiledStudy, core::PerformanceResult>;
+TYPED_TEST_SUITE(KeyedCacheTier, Tiers);
+
+TYPED_TEST(KeyedCacheTier, SingleFlightComputesOnceUnderContention) {
+  metrics::MetricsRegistry registry;
+  KeyedCache<TypeParam> cache(4, registry, "tier");
+  std::atomic<int> computes{0};
+  const auto slow = [&] {
+    ++computes;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return make_value<TypeParam>();
+  };
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const TypeParam>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { results[t] = cache.get_or_compile("shared", slow); });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(computes.load(), 1);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(results[t], results[0]);
+  EXPECT_EQ(cache.metrics().misses.value(), 1U);
+  EXPECT_EQ(cache.metrics().waits.value() + cache.metrics().hits.value(),
+            static_cast<std::uint64_t>(kThreads - 1));
+  // The prefix names the tier's counters in its registry.
+  EXPECT_EQ(registry.counter("tier_misses_total").value(), 1U);
+}
+
+TYPED_TEST(KeyedCacheTier, FailureReachesEveryWaiterAndIsNotCached) {
+  metrics::MetricsRegistry registry;
+  KeyedCache<TypeParam> cache(4, registry, "tier");
+  std::atomic<int> computes{0};
+  const auto failing = [&]() -> std::shared_ptr<const TypeParam> {
+    ++computes;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    throw std::runtime_error("sweep exploded");
+  };
+  constexpr int kThreads = 4;
+  std::atomic<int> throws{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      try {
+        cache.get_or_compile("bad", failing);
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "sweep exploded");
+        ++throws;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(throws.load(), kThreads);
+  EXPECT_EQ(computes.load(), 1);
+  EXPECT_EQ(cache.size(), 0U);
+  EXPECT_EQ(cache.metrics().failures.value(), 1U);
+  EXPECT_NE(cache.get_or_compile("bad", [] { return make_value<TypeParam>(); }), nullptr);
+  EXPECT_EQ(cache.size(), 1U);
+}
+
+TYPED_TEST(KeyedCacheTier, StaysWithinCapacity) {
+  metrics::MetricsRegistry registry;
+  KeyedCache<TypeParam> cache(4, registry, "tier");
+  const std::shared_ptr<const TypeParam> value = make_value<TypeParam>();
+  for (int i = 0; i < 100; ++i) {
+    cache.get_or_compile("k" + std::to_string(i), [&] { return value; });
+    EXPECT_LE(cache.size(), 4U);
+  }
+  EXPECT_EQ(cache.size(), 4U);
+  EXPECT_EQ(cache.metrics().evictions.value(), 96U);
 }
 
 }  // namespace

@@ -28,6 +28,11 @@
 // operational counters.  Both probes are answered at admission — no
 // sequence number, no journal record — so probing never perturbs the
 // deterministic response stream.
+//
+// --cache N bounds both in-process cache tiers at N entries each (compiled
+// studies, and build-up performance rows under them).  No cache state
+// reaches a response byte: `--cache 1`, where nearly every lookup misses,
+// prints the same stream as the default 8 (the CI smoke cmps it).
 
 #include <chrono>
 #include <cstdio>
@@ -136,7 +141,9 @@ int main(int argc, char** argv) {
                      "[--cache N] [--eval-threads N] [--faults SPEC]\n"
                      "       ipass_replay --journal FILE\n"
                      "       ipass_replay --health HOST:PORT\n"
-                     "       ipass_replay --stats HOST:PORT\n");
+                     "       ipass_replay --stats HOST:PORT\n"
+                     "  --cache N  entries kept by each of the two cache tiers, "
+                     "compiled studies and build-up performance rows (default 8)\n");
         return 2;
       }
     }

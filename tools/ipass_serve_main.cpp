@@ -22,6 +22,14 @@
 // shutdown.  --slow-request-ms logs one stderr line per request slower than
 // the threshold (0 logs every request).  --profile turns on the per-phase
 // engine profiling histograms.  None of these can change a response byte.
+//
+// --cache N bounds both cache tiers of the service at N entries each: the
+// compiled studies (keyed by the whole request minus its evaluation state)
+// and, under them, each build-up's MNA performance rows (keyed by exactly
+// what the sweeps read), so a cost-only variant of a known kit compiles
+// without sweeping.  Their counters are serve_cache_*_total and
+// serve_perf_cache_*_total in the metrics dump; the stats probe reports the
+// study tier.
 
 #include <csignal>
 #include <cstdio>
@@ -184,7 +192,9 @@ int main(int argc, char** argv) {
                      "[--degrade N] [--cache N] [--eval-threads N] [--faults SPEC] "
                      "[--journal FILE] [--journal-sync] [--drain-timeout MS] "
                      "[--metrics FILE] [--metrics-interval-ms MS] "
-                     "[--slow-request-ms MS] [--profile]\n");
+                     "[--slow-request-ms MS] [--profile]\n"
+                     "  --cache N  entries kept by each of the two cache tiers, "
+                     "compiled studies and build-up performance rows (default 8)\n");
         return 2;
       }
     }
