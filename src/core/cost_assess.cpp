@@ -191,7 +191,7 @@ void emit_flow(const CompiledCostModel& m, const ProductionData& pd, Sink& sink)
 }
 
 // Sink that builds the moe::FlowModel the analytic and Monte-Carlo engines
-// (and the scenario grid) walk.
+// walk.
 struct FlowModelSink {
   moe::FlowModel flow;
   const std::string& carrier;  // the substrate's name
@@ -418,19 +418,27 @@ struct ExpCache {
   }
 };
 
+// The kernel-policy half both walks over one lane's flat steps share.
+struct FlatWalk {
+  const FlatStep* steps;
+
+  bool is_test(std::size_t i) const { return steps[i].kind == StepKind::Test; }
+  double coverage(std::size_t i) const { return steps[i].coverage; }
+
+  // Compiled flows never rework.
+  static double rework(std::size_t /*i*/, double /*detected*/) { return 0.0; }
+  void on_scrapped(double /*scrapped*/) {}
+};
+
 // Ledger-capturing, no-rework instantiation of the shared walk kernel,
 // reading one lane's flat steps.  Test-step exponentials go through the
 // batch's shared caches: the kernel calls exp_value exactly once per test
 // step, so the k-th call of every lane lands in slot k, and lanes of one
 // build-up put the same test step there.
-struct CompiledWalkPolicy {
-  const FlatStep* steps;
+struct CompiledWalkPolicy : FlatWalk {
   ExpCache* test_exp;  // one slot per test step, shared across lanes
   Ledger spend;
   Ledger unit_acc;
-
-  bool is_test(std::size_t i) const { return steps[i].kind == StepKind::Test; }
-  double coverage(std::size_t i) const { return steps[i].coverage; }
 
   void book_test(std::size_t i, double alive) {
     const double cost = steps[i].cost;
@@ -439,10 +447,6 @@ struct CompiledWalkPolicy {
   }
 
   double exp_value(double x) { return (*test_exp++)(x); }
-
-  // Compiled flows never rework.
-  static double rework(std::size_t /*i*/, double /*detected*/) { return 0.0; }
-  void on_scrapped(double /*scrapped*/) {}
 
   static const char* all_scrapped_message() {
     return "evaluate_compiled_cost: everything scrapped";
@@ -462,6 +466,36 @@ struct CompiledWalkPolicy {
   double added_lambda(std::size_t i) const { return steps[i].lambda; }
 };
 
+// Scalar-spend instantiation of the shared walk kernel for the scenario
+// grid: every booked cost scaled by cost_scale, every injected intensity by
+// fault_scale.  A step books s.cost + (0.0 + its lots' unit_cost * count,
+// in lot order): for the non-negative costs emit_flow produces, that is the
+// FlowModel step cost plus its component sum to the bit, which
+// scenario_grid.json pins.
+struct CornerWalkPolicy : FlatWalk {
+  ProcessCorner corner;
+  double spend = 0.0;
+
+  void book_test(std::size_t i, double alive) {
+    spend += alive * (corner.cost_scale * steps[i].cost);
+  }
+
+  static double exp_value(double x) { return std::exp(x); }
+
+  static const char* all_scrapped_message() {
+    return "CornerWalk: corner scraps the entire line";
+  }
+
+  void book_step(std::size_t i, double alive) {
+    const FlatStep& s = steps[i];
+    double lots = 0.0;
+    for (int c = 0; c < s.n_lots; ++c) lots += s.lot[c].unit_cost * s.lot[c].count;
+    spend += alive * (corner.cost_scale * (s.cost + lots));
+  }
+
+  double added_lambda(std::size_t i) const { return corner.fault_scale * steps[i].lambda; }
+};
+
 }  // namespace
 
 void evaluate_compiled_cost_batch(const CostEvalPoint* points, std::size_t n,
@@ -473,7 +507,7 @@ void evaluate_compiled_cost_batch(const CostEvalPoint* points, std::size_t n,
     const ProductionData& pd = *points[i].pd;
     sink.n_steps = 0;
     emit_flow(*points[i].model, pd, sink);
-    CompiledWalkPolicy walk{sink.steps, test_exp, {}, {}};
+    CompiledWalkPolicy walk{{sink.steps}, test_exp, {}, {}};
     const WalkOutcome wo = walk_flow_steps(LaneStepsView{sink.n_steps}, walk);
 
     CostSummary r;
@@ -500,6 +534,39 @@ CostSummary evaluate_compiled_cost(const CompiledCostModel& model, const Product
   CostSummary out;
   evaluate_compiled_cost_batch(&point, 1, &out);
   return out;
+}
+
+void check_corner(const ProcessCorner& corner, const char* scope, const char* name) {
+  const auto check = [&](double scale, const char* field) {
+    if (!(scale >= 0.0 && std::isfinite(scale))) {
+      const std::string where = name ? strf("%s '%s'", scope, name) : scope;
+      throw PreconditionError(strf("%s: %s must be finite and non-negative, got %g",
+                                   where.c_str(), field, scale));
+    }
+  };
+  check(corner.fault_scale, "fault_scale");
+  check(corner.cost_scale, "cost_scale");
+}
+
+struct CornerWalk::Steps {
+  LaneSink sink;
+};
+
+CornerWalk::CornerWalk(const CompiledCostModel& model, const ProductionData& pd,
+                       const ProcessCorner& baseline)
+    : steps_(std::make_unique<Steps>()), baseline_(baseline) {
+  emit_flow(model, pd, steps_->sink);
+}
+
+CornerWalk::CornerWalk(CornerWalk&&) noexcept = default;
+CornerWalk::~CornerWalk() = default;
+
+CornerOutcome CornerWalk::operator()(const ProcessCorner& corner) const {
+  CornerWalkPolicy walk{{steps_->sink.steps},
+                        {corner.fault_scale * baseline_.fault_scale,
+                         corner.cost_scale * baseline_.cost_scale}};
+  const WalkOutcome wo = walk_flow_steps(LaneStepsView{steps_->sink.n_steps}, walk);
+  return {walk.spend, wo.alive};
 }
 
 CostAssessment assess_cost(const AreaResult& area, const BuildUp& buildup) {

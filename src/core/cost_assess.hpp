@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "core/area_assess.hpp"
 #include "core/buildup.hpp"
@@ -80,10 +81,11 @@ CostSummary evaluate_compiled_cost(const CompiledCostModel& model, const Product
 // Batched walk: cost W (model, production-data) lanes per call.
 //
 // Each lane's flow is emitted by the same emitter as build_flow() into a
-// fixed-size step array and walked through the shared flow-walk kernel —
-// so every lane is bit-identical to its scalar evaluate_compiled_cost()
-// call, and the batch split never changes a bit.  The lanes of a call
-// share memoized log/exp results, keyed on exact argument bits.
+// fixed-size step array (the flattening CornerWalk below reads too) and
+// walked through the shared flow-walk kernel — so every lane is
+// bit-identical to its scalar evaluate_compiled_cost() call, and the batch
+// split never changes a bit.  The lanes of a call share memoized log/exp
+// results, keyed on exact argument bits.
 
 // The assessment pipeline's chunk width: how many points it hands to one
 // batched call.
@@ -99,5 +101,49 @@ struct CostEvalPoint {
 // Cost `n` lanes, writing out[i] for points[i].  Any n is accepted.
 void evaluate_compiled_cost_batch(const CostEvalPoint* points, std::size_t n,
                                   CostSummary* out);
+
+// ---------------------------------------------------------------------------
+// Corner walk (the scenario grid).
+
+// One process corner: multiplicative scalings applied to a compiled flow.
+// fault_scale multiplies every step's fault intensity (lambda = -ln y, so
+// 2.0 squares each step yield and 0.0 models a perfect line); cost_scale
+// multiplies every direct cost booked along the line (steps and consumed
+// components alike).  NRE is scenario overhead, not a line cost, and is
+// left unscaled.
+struct ProcessCorner {
+  double fault_scale = 1.0;
+  double cost_scale = 1.0;
+};
+
+// Throws PreconditionError naming scope, name and field unless both scales
+// are finite and non-negative (a negative fault_scale raises yields above
+// 1; an infinite scale makes 0 * inf on a zero-cost step a NaN).
+void check_corner(const ProcessCorner& corner, const char* scope, const char* name = nullptr);
+
+// Per started unit, independent of the volume.
+struct CornerOutcome {
+  double spend = 0.0;  // expected spend
+  double alive = 0.0;  // shipped fraction
+};
+
+// The flow of (model, pd), flattened once by the batched walk's emitter and
+// walked under any corner composed with `baseline` (scales multiplied).
+// Its spend sum agrees with the ledger walk's only to rounding.
+class CornerWalk {
+ public:
+  CornerWalk(const CompiledCostModel& model, const ProductionData& pd,
+             const ProcessCorner& baseline);
+  CornerWalk(CornerWalk&&) noexcept;
+  ~CornerWalk();
+
+  // Throws InvariantError when the corner scraps the entire line.
+  CornerOutcome operator()(const ProcessCorner& corner) const;
+
+ private:
+  struct Steps;
+  std::unique_ptr<Steps> steps_;
+  ProcessCorner baseline_;
+};
 
 }  // namespace ipass::core

@@ -2,11 +2,12 @@
 //
 // Three engines used to carry bit-identical copies of the same test-step
 // walk — moe::evaluate_analytic (full ledger + rework + scrap tracking),
-// core::evaluate_scenario_grid's walk_flow (per-corner fault/cost scaling)
-// and core::evaluate_compiled_cost (flattened ledger walk, no rework) —
-// and they drifted independently.  This header is now the single source of
-// truth for the walk's control flow and survivor/fault arithmetic; the
-// three sites are thin policy instantiations of walk_flow_steps().
+// core::CornerWalk (the scenario grid's per-corner fault/cost scaling) and
+// core::evaluate_compiled_cost (ledger walk, no rework; both read emit_flow's
+// flat steps) — and they drifted independently.  This header is now the
+// single source of truth for the walk's control flow and survivor/fault
+// arithmetic; the three sites are thin policy instantiations of
+// walk_flow_steps().
 //
 // The math (Poisson latent faults, exact expectation — see moe/analytic.hpp):
 // a non-test step books its cost against every alive unit and adds fault
@@ -37,8 +38,8 @@ namespace ipass::core {
 
 // ---------------------------------------------------------------------------
 // Multi-die chiplet terms (Chiplet Actuary / Tang & Xie), owned here so the
-// analytic FlowModel walk, the scenario-grid walk and the compiled SoA walk
-// cost a die stack through literally the same expressions.
+// analytic FlowModel walk and the two flat-step walks cost a die stack
+// through literally the same expressions.
 
 // Yield a die effectively contributes after known-good-die screening: the
 // die arrives carrying -ln(yield) latent fault intensity, and a screen with
@@ -64,7 +65,7 @@ struct WalkOutcome {
 };
 
 // Steps: any sequence with size() and operator[](i) — a std::vector of
-// step records, a pointer span, or a proxy view over SoA lane planes.
+// step records, or a view of indices into a flat step array.
 //
 // Policy requirements (s is whatever steps[i] yields):
 //   bool   is_test(s)

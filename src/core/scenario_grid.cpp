@@ -6,9 +6,7 @@
 #include "common/parallel.hpp"
 #include "common/statistics.hpp"
 #include "common/strfmt.hpp"
-#include "core/area_assess.hpp"
-#include "core/cost_assess.hpp"
-#include "core/flow_walk_kernel.hpp"
+#include "core/methodology.hpp"
 
 namespace ipass::core {
 
@@ -42,88 +40,6 @@ std::vector<double> ScenarioGrid::volume_sweep(std::size_t n, double lo, double 
 
 namespace {
 
-// A production flow flattened for repeated corner evaluation: everything
-// evaluate_analytic reads per step, as plain numbers.  The flows come from
-// build_flow, which never sets a rework policy, so rework is not carried.
-struct CompiledStep {
-  bool is_test = false;
-  double cost = 0.0;      // direct cost booked per alive unit (incl. components)
-  double lambda = 0.0;    // fault intensity added (non-test)
-  double coverage = 0.0;  // test only
-};
-
-struct CompiledFlow {
-  std::vector<CompiledStep> steps;
-  double nre = 0.0;
-};
-
-CompiledFlow compile_flow(const moe::FlowModel& flow) {
-  CompiledFlow out;
-  out.nre = flow.nre_total();
-  out.steps.reserve(flow.steps().size());
-  for (const moe::Step& s : flow.steps()) {
-    CompiledStep cs;
-    if (s.kind == moe::Step::Kind::Test) {
-      cs.is_test = true;
-      cs.cost = s.cost;
-      cs.coverage = s.fault_coverage;
-    } else {
-      cs.cost = s.cost + s.cost_per_component * s.component_count() + s.component_cost();
-      cs.lambda = s.added_fault_intensity();
-    }
-    out.steps.push_back(cs);
-  }
-  return out;
-}
-
-// Volume-independent outcome of one (build-up, corner) pair, per started
-// unit.  The walk is the shared kernel with the corner's scalings applied:
-// fault_scale on every injected intensity, cost_scale on every direct cost.
-struct CornerOutcome {
-  double spend = 0.0;  // expected spend per started unit
-  double alive = 0.0;  // shipped fraction
-};
-
-// Scalar-spend instantiation of the shared walk kernel: no ledger, every
-// booked cost multiplied by the corner's cost_scale, every injected
-// intensity by its fault_scale.
-struct CornerWalkPolicy {
-  const ProcessCorner& corner;
-  double spend = 0.0;
-
-  static bool is_test(const CompiledStep& s) { return s.is_test; }
-  static double coverage(const CompiledStep& s) { return s.coverage; }
-
-  void book_test(const CompiledStep& s, double alive) {
-    spend += alive * (corner.cost_scale * s.cost);
-  }
-
-  static double exp_value(double x) { return std::exp(x); }
-
-  // build_flow flows never rework.
-  static double rework(const CompiledStep& /*s*/, double /*detected*/) { return 0.0; }
-
-  void on_scrapped(double /*scrapped*/) {}
-
-  static const char* all_scrapped_message() {
-    return "evaluate_scenario_grid: corner scraps the entire line";
-  }
-
-  void book_step(const CompiledStep& s, double alive) {
-    spend += alive * (corner.cost_scale * s.cost);
-  }
-
-  double added_lambda(const CompiledStep& s) const {
-    return corner.fault_scale * s.lambda;
-  }
-};
-
-CornerOutcome walk_flow(const CompiledFlow& flow, const ProcessCorner& corner) {
-  CornerWalkPolicy walk{corner};
-  const WalkOutcome out = walk_flow_steps(flow.steps, walk);
-  return {walk.spend, out.alive};
-}
-
 struct GridAccum {
   RunningStats stats;
   bool has = false;
@@ -134,70 +50,62 @@ struct GridAccum {
 
 }  // namespace
 
-ScenarioGridSummary evaluate_scenario_grid(const FunctionalBom& bom, const TechKits& kits,
-                                           const ScenarioGrid& grid, unsigned threads) {
-  require(!grid.buildups.empty(), "evaluate_scenario_grid: no build-ups");
-  require(!grid.corners.empty(), "evaluate_scenario_grid: no process corners");
-  require(!grid.volumes.empty(), "evaluate_scenario_grid: no volumes");
-  for (const double v : grid.volumes) {
+ScenarioGridSummary evaluate_scenario_grid(const CompiledStudy& study,
+                                           const std::vector<ProcessCorner>& corners,
+                                           const std::vector<double>& volumes,
+                                           const std::vector<ProcessCorner>& buildup_corners,
+                                           unsigned threads) {
+  require(!corners.empty(), "evaluate_scenario_grid: no process corners");
+  require(!volumes.empty(), "evaluate_scenario_grid: no volumes");
+  for (const double v : volumes) {
     require(v > 0.0, "evaluate_scenario_grid: volumes must be positive");
   }
-  for (const ProcessCorner& c : grid.corners) {
-    require(c.fault_scale >= 0.0, "evaluate_scenario_grid: fault_scale must be >= 0");
-    require(c.cost_scale >= 0.0, "evaluate_scenario_grid: cost_scale must be >= 0");
-  }
-  const bool has_baselines = !grid.buildup_corners.empty();
-  require(!has_baselines || grid.buildup_corners.size() == grid.buildups.size(),
+  for (const ProcessCorner& c : corners) check_corner(c, "evaluate_scenario_grid: corners");
+  const std::size_t n_buildups = study.buildups.size();
+  require(buildup_corners.empty() || buildup_corners.size() == n_buildups,
           "evaluate_scenario_grid: buildup_corners must be empty or one per build-up");
-  for (const ProcessCorner& c : grid.buildup_corners) {
-    require(c.fault_scale >= 0.0 && c.cost_scale >= 0.0,
-            "evaluate_scenario_grid: buildup_corners scales must be >= 0");
+  for (const ProcessCorner& c : buildup_corners) {
+    check_corner(c, "evaluate_scenario_grid: buildup_corners");
   }
 
-  // Compile every build-up's flow once; the compiled models are read-only
+  // Flatten every build-up's compiled flow once; the walks are read-only
   // from here on and shared by all workers.
-  const std::size_t n_buildups = grid.buildups.size();
-  const std::size_t n_volumes = grid.volumes.size();
-  std::vector<CompiledFlow> compiled;
-  compiled.reserve(n_buildups);
-  for (const BuildUp& b : grid.buildups) {
-    const AreaResult area = assess_area(bom, b, kits);
-    compiled.push_back(compile_flow(build_flow(area, b)));
+  const std::size_t n_volumes = volumes.size();
+  std::vector<CornerWalk> walks;
+  std::vector<double> nre(n_buildups);
+  for (std::size_t b = 0; b < n_buildups; ++b) {
+    const ProductionData& pd = study.buildups[b].production;
+    walks.emplace_back(study.compiled[b], pd,
+                       buildup_corners.empty() ? ProcessCorner{} : buildup_corners[b]);
+    nre[b] = effective_nre(pd);
   }
 
-  // One parallel item per corner: a worker walks each compiled flow once
-  // per corner and then sweeps the whole volume axis in O(1) per cell —
-  // shipped fraction and per-started spend do not depend on the volume,
-  // only the NRE amortization does.
+  // One parallel item per corner: a worker walks each flow once per corner
+  // and then sweeps the whole volume axis in O(1) per cell — shipped
+  // fraction and per-started spend do not depend on the volume, only the
+  // NRE amortization does.
   const GridAccum acc = parallel_reduce<GridAccum>(
-      grid.corners.size(), 1,
+      corners.size(), 1,
       [&](std::size_t /*chunk_index*/, std::size_t begin, std::size_t end) {
         GridAccum a;
         a.wins.assign(n_buildups, 0);
         std::vector<CornerOutcome> outcome(n_buildups);
         for (std::size_t c = begin; c < end; ++c) {
-          for (std::size_t b = 0; b < n_buildups; ++b) {
-            ProcessCorner corner = grid.corners[c];
-            if (has_baselines) {
-              corner.fault_scale *= grid.buildup_corners[b].fault_scale;
-              corner.cost_scale *= grid.buildup_corners[b].cost_scale;
-            }
-            outcome[b] = walk_flow(compiled[b], corner);
-          }
+          for (std::size_t b = 0; b < n_buildups; ++b) outcome[b] = walks[b](corners[c]);
           for (std::size_t v = 0; v < n_volumes; ++v) {
-            const double volume = grid.volumes[v];
+            const double volume = volumes[v];
             std::size_t win = 0;
             double win_cost = 0.0;
             for (std::size_t b = 0; b < n_buildups; ++b) {
-              const double cost =
-                  (outcome[b].spend + compiled[b].nre / volume) / outcome[b].alive;
+              const CornerOutcome& o = outcome[b];
+              const double cost = (o.spend + nre[b] / volume) / o.alive;
               ScenarioCell cell;
               cell.cell = (c * n_volumes + v) * n_buildups + b;
               cell.buildup = b;
               cell.corner = c;
               cell.volume = v;
               cell.final_cost_per_shipped = cost;
-              cell.shipped_fraction = outcome[b].alive;
+              cell.shipped_fraction = o.alive;
               a.stats.add(cost);
               // Strict comparisons + ascending cell order = ties resolve to
               // the lowest cell index, independent of chunking.
@@ -234,13 +142,20 @@ ScenarioGridSummary evaluate_scenario_grid(const FunctionalBom& bom, const TechK
       threads);
 
   ScenarioGridSummary summary;
-  summary.cells = grid.cell_count();
+  summary.cells = n_buildups * corners.size() * n_volumes;
   summary.best = acc.best;
   summary.worst = acc.worst;
   summary.cost_mean = acc.stats.mean();
   summary.cost_stddev = acc.stats.stddev();
   summary.wins_per_buildup = acc.wins;
   return summary;
+}
+
+ScenarioGridSummary evaluate_scenario_grid(const FunctionalBom& bom, const TechKits& kits,
+                                           const ScenarioGrid& grid, unsigned threads) {
+  const auto study = compile_study(bom, grid.buildups, kits, PipelineScope::CostOnly);
+  return evaluate_scenario_grid(*study, grid.corners, grid.volumes, grid.buildup_corners,
+                                threads);
 }
 
 std::string ScenarioGridSummary::to_string(const ScenarioGrid& grid) const {

@@ -3,13 +3,13 @@
 //
 // Chiplet-era cost studies frame technology selection as sweeping huge
 // scenario grids rather than evaluating one operating point; this front-end
-// does that for the paper's methodology.  Every build-up's production flow
-// is compiled once into a flat, allocation-free cost model (the per-worker
-// "cost-model state"); each grid cell then re-evaluates that model under a
-// process corner's multiplicative scalings and a production volume.  Cells
-// fan out over parallel_reduce with the usual determinism contract: chunk
-// boundaries depend only on the grid shape and partials fold in ascending
-// order, so a summary is bit-identical for every thread count.
+// does that for the paper's methodology.  It reads the batched pipeline's
+// CompiledStudy and walks each build-up's flow, flattened once by the same
+// emitter (CornerWalk), under every process corner; the volume axis then
+// costs O(1) per cell.  Cells fan out over parallel_reduce with the usual
+// determinism contract: chunk boundaries depend only on the grid shape and
+// partials fold in ascending order, so a summary is bit-identical for every
+// thread count.
 #pragma once
 
 #include <cstddef>
@@ -17,21 +17,11 @@
 #include <vector>
 
 #include "core/buildup.hpp"
+#include "core/cost_assess.hpp"
 #include "core/function_bom.hpp"
 #include "core/realization.hpp"
 
 namespace ipass::core {
-
-// One process corner: multiplicative scalings applied to a compiled flow.
-// fault_scale multiplies every step's fault intensity (lambda = -ln y, so
-// 2.0 squares each step yield and 0.0 models a perfect line); cost_scale
-// multiplies every direct cost booked along the line (steps and consumed
-// components alike).  NRE is scenario overhead, not a line cost, and is
-// left unscaled.
-struct ProcessCorner {
-  double fault_scale = 1.0;
-  double cost_scale = 1.0;
-};
 
 // The grid descriptor.  Cells are the cross product of the three axes;
 // cell (b, c, v) carries buildups[b] under corners[c] at volumes[v]
@@ -86,8 +76,21 @@ struct ScenarioGridSummary {
   std::string to_string(const ScenarioGrid& grid) const;
 };
 
-// Evaluate the whole grid.  threads = 0 resolves to IPASS_THREADS /
-// hardware concurrency; results are bit-identical for every thread count.
+struct CompiledStudy;  // core/methodology.hpp
+
+// Evaluate the grid of the study's build-ups × corners × volumes, with the
+// optional per-build-up corner baselines of ScenarioGrid::buildup_corners.
+// threads = 0 resolves to IPASS_THREADS / hardware concurrency; results are
+// bit-identical for every thread count.  Every corner scale must be finite
+// and non-negative (PreconditionError naming the field otherwise).
+ScenarioGridSummary evaluate_scenario_grid(const CompiledStudy& study,
+                                           const std::vector<ProcessCorner>& corners,
+                                           const std::vector<double>& volumes,
+                                           const std::vector<ProcessCorner>& buildup_corners,
+                                           unsigned threads = 0);
+
+// Same, for a grid descriptor: compiles a cost-only study of grid.buildups
+// and evaluates it.
 ScenarioGridSummary evaluate_scenario_grid(const FunctionalBom& bom, const TechKits& kits,
                                            const ScenarioGrid& grid, unsigned threads = 0);
 

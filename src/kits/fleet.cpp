@@ -14,28 +14,10 @@ namespace {
 // pipeline's per-point parameter vector: lambda = -ln y, so scaling every
 // fault intensity by f is raising every step yield to the power f; every
 // direct line cost (steps and consumed components alike) is multiplied by
-// the cost scale, while NRE stays unscaled.
-//
-// A corner with a negative or non-finite scale is rejected up front: with
-// y in (0, 1], pow(y, f) stays a probability only for f >= 0 — a negative
-// fault_scale would silently fabricate yields above 1 (and with them
-// negative fault intensities) deep inside the walk.  evaluate_scenario_grid
-// has always rejected such corners; this gate gives the fleet path the same
-// contract, naming the build-up being scaled.
-void check_corner(const core::ProcessCorner& corner, const std::string& scope) {
-  if (!(corner.fault_scale >= 0.0 && std::isfinite(corner.fault_scale))) {
-    throw PreconditionError(
-        strf("fleet corner: build-up '%s': fault_scale must be finite and "
-             "non-negative, got %g",
-             scope.c_str(), corner.fault_scale));
-  }
-  if (!(corner.cost_scale >= 0.0 && std::isfinite(corner.cost_scale))) {
-    throw PreconditionError(
-        strf("fleet corner: build-up '%s': cost_scale must be finite and "
-             "non-negative, got %g",
-             scope.c_str(), corner.cost_scale));
-  }
-}
+// the cost scale, while NRE stays unscaled.  fleet_scenario_points gates
+// every corner through core::check_corner first, naming the build-up being
+// scaled: with y in (0, 1], pow(y, f) stays a probability only for a
+// finite f >= 0.
 
 // Role dispatch for the field tables in core/buildup.hpp: one method per
 // corner-scaling role.  corner_production() below iterates the tables
@@ -65,7 +47,6 @@ struct CornerScaler {
 core::ProductionData corner_production(core::ProductionData pd,
                                        const core::ProcessCorner& corner,
                                        double volume, const std::string& scope) {
-  check_corner(corner, scope);
   const CornerScaler top{corner.fault_scale, corner.cost_scale, scope, ""};
 #define IPASS_CORNER_FIELD(name, role) top.role(pd.name, #name);
   IPASS_PRODUCTION_SCALAR_FIELDS(IPASS_CORNER_FIELD)
@@ -99,7 +80,6 @@ static_assert(ipass::core::detail::aggregate_field_count<core::CompiledCostModel
 core::CompiledCostModel corner_model(core::CompiledCostModel model,
                                      const core::ProcessCorner& corner,
                                      const std::string& scope) {
-  check_corner(corner, scope);
   const CornerScaler op{corner.fault_scale, corner.cost_scale, scope, ""};
   op.Cost(model.substrate_cost, "substrate_cost");
   op.Yield(model.substrate_fab_yield, "substrate_fab_yield");
@@ -122,13 +102,7 @@ std::vector<core::AssessmentInputs> fleet_scenario_points(
   require(baselines.empty() || baselines.size() == n,
           "fleet_scenario_points: baselines must be empty or one per build-up");
 
-  // The pipeline's own compiled models, re-derived from its public state
-  // (compile_cost_model is deterministic on area + build-up).
-  std::vector<core::CompiledCostModel> base_models;
-  base_models.reserve(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    base_models.push_back(core::compile_cost_model(pipeline.area(b), buildups[b]));
-  }
+  const std::vector<core::CompiledCostModel>& base_models = pipeline.study()->compiled;
 
   std::vector<core::AssessmentInputs> points;
   points.reserve(corners.size() * volumes.size());
@@ -141,6 +115,7 @@ std::vector<core::AssessmentInputs> fleet_scenario_points(
       for (std::size_t b = 0; b < n; ++b) {
         const core::ProcessCorner effective =
             baselines.empty() ? corner : compose(corner, baselines[b]);
+        core::check_corner(effective, "fleet corner: build-up", buildups[b].name.c_str());
         point.production.push_back(
             corner_production(buildups[b].production, effective, volume,
                               buildups[b].name));
@@ -207,25 +182,19 @@ KitFleetSummary sweep_kits(const KitRegistry& registry,
     // kit's own build-ups move with its line reality while the shared
     // reference rows stay the common anchor.  The volume axis defaults to
     // the kit's production volume.
-    std::vector<core::ProcessCorner> baselines;
-    if (options.compose_kit_corner) {
-      baselines.assign(buildups.size(), core::ProcessCorner{});
-      for (std::size_t b = entry.own_offset; b < buildups.size(); ++b) {
-        baselines[b] = kit.corner;
-      }
+    std::vector<core::ProcessCorner> baselines(buildups.size());
+    for (std::size_t b = entry.own_offset; b < buildups.size(); ++b) {
+      baselines[b] = kit.corner;
     }
     std::vector<double> volumes = options.volumes;
     if (volumes.empty()) {
       volumes.push_back(buildups[entry.own_offset].production.volume);
     }
 
-    // Engine 1: the scenario-grid shards (cost landscape per cell).
-    core::ScenarioGrid grid;
-    grid.buildups = buildups;
-    grid.corners = options.corners;
-    grid.volumes = volumes;
-    grid.buildup_corners = baselines;
-    entry.grid = core::evaluate_scenario_grid(bom, tech_kits, grid, options.threads);
+    // Engine 1: the scenario-grid shards (cost landscape per cell), over
+    // the pipeline's compiled study.
+    entry.grid = core::evaluate_scenario_grid(*pipeline.study(), options.corners, volumes,
+                                              baselines, options.threads);
 
     // Engine 2: the batched pipeline + Pareto frontier per scenario point.
     entry.pareto = core::pareto_sweep(

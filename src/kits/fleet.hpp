@@ -26,15 +26,13 @@ namespace ipass::kits {
 struct KitSweepOptions {
   // Scenario axes shared by every kit.  Corner c and volume v map to sweep
   // point c * volumes.size() + v.  Empty volumes = each kit's default
-  // production volume only.
+  // production volume only.  Each kit's own corner baseline folds into
+  // every corner (multiplicative), so a pilot line is swept around its own
+  // fault/cost reality instead of the nominal one.  The baseline applies
+  // only to the kit's own build-ups — the shared reference build-ups stay
+  // at the grid's corners, so every kit is measured against the same anchor.
   std::vector<core::ProcessCorner> corners = {core::ProcessCorner{}};
   std::vector<double> volumes;
-  // Fold each kit's own corner baseline into every scenario point
-  // (multiplicative), so a pilot line is swept around its own fault/cost
-  // reality instead of the nominal one.  The baseline applies only to the
-  // kit's own build-ups — the shared reference build-ups stay at the
-  // grid's corners, so every kit is measured against the same anchor.
-  bool compose_kit_corner = true;
   core::FomWeights weights;
   // Registry name of the kit whose build-ups anchor every study as the
   // 100% reference (empty = first kit of the selection).  Use an all-SMD

@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "core/buildup.hpp"
+#include "core/cost_assess.hpp"
 #include "core/realization.hpp"
-#include "core/scenario_grid.hpp"
 #include "tech/process.hpp"
 #include "tech/thin_film.hpp"
 

@@ -1,6 +1,7 @@
 #include "core/scenario_grid.hpp"
 
 #include <cstddef>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -125,6 +126,20 @@ TEST(ScenarioGrid, Preconditions) {
   grid = small_grid(study);
   grid.buildup_corners.assign(grid.buildups.size(), ProcessCorner{});
   grid.buildup_corners[1].cost_scale = -1.0;
+  EXPECT_THROW(evaluate_scenario_grid(study.bom, study.kits, grid), PreconditionError);
+  // Infinite scales: 0 * inf on a zero-cost step would turn the summary into
+  // NaN, and an infinite fault scale scraps the whole line.
+  const double inf = std::numeric_limits<double>::infinity();
+  grid = small_grid(study);
+  grid.corners = {ProcessCorner{1.0, inf}};
+  EXPECT_THROW(evaluate_scenario_grid(study.bom, study.kits, grid), PreconditionError);
+  grid.corners = {ProcessCorner{inf, 1.0}};
+  EXPECT_THROW(evaluate_scenario_grid(study.bom, study.kits, grid), PreconditionError);
+  grid = small_grid(study);
+  grid.buildup_corners.assign(grid.buildups.size(), ProcessCorner{});
+  grid.buildup_corners[2].cost_scale = inf;
+  EXPECT_THROW(evaluate_scenario_grid(study.bom, study.kits, grid), PreconditionError);
+  grid.buildup_corners[2] = ProcessCorner{inf, 1.0};
   EXPECT_THROW(evaluate_scenario_grid(study.bom, study.kits, grid), PreconditionError);
 }
 

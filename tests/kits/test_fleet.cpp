@@ -234,13 +234,17 @@ TEST(KitFleet, KitCornerBaselineLeavesReferenceRowsAlone) {
   const ProcessKit& gen2 = registry.at(kMcmDSiIpGen2Kit);
   ASSERT_NE(gen2.corner.fault_scale, 1.0);
 
-  KitSweepOptions with = fleet_options(1);
-  KitSweepOptions without = fleet_options(1);
-  without.compose_kit_corner = false;
+  // The same sweep over a registry whose gen2 copy has an identity corner.
+  KitRegistry identity;
+  identity.add(registry.at(kPcbFr4Kit));
+  ProcessKit flat_gen2 = gen2;
+  flat_gen2.corner = core::ProcessCorner{};
+  identity.add(flat_gen2);
+
   const KitFleetSummary a =
-      sweep_kits(registry, {kPcbFr4Kit, kMcmDSiIpGen2Kit}, bom, with);
+      sweep_kits(registry, {kPcbFr4Kit, kMcmDSiIpGen2Kit}, bom, fleet_options(1));
   const KitFleetSummary b =
-      sweep_kits(registry, {kPcbFr4Kit, kMcmDSiIpGen2Kit}, bom, without);
+      sweep_kits(identity, {kPcbFr4Kit, kMcmDSiIpGen2Kit}, bom, fleet_options(1));
 
   const KitAssessment& ga = a.kits[1];
   const KitAssessment& gb = b.kits[1];
