@@ -52,10 +52,9 @@ std::shared_ptr<const CompiledStudy> compile_study(const FunctionalBom& bom,
                                                    StudyParts given) {
   require(!buildups.empty(), "assess: need at least one build-up");
   const std::size_t n = buildups.size();
-  require(given.performance.empty() || given.performance.size() == n,
-          "compile_study: given performance rows must match the build-ups");
-  require(given.areas.empty() || given.areas.size() == n,
-          "compile_study: given areas must match the build-ups");
+  require(given.performance.size() <= n,
+          "compile_study: more given performance rows than build-ups");
+  require(given.areas.size() <= n, "compile_study: more given areas than build-ups");
   auto study = std::make_shared<CompiledStudy>();
   study->buildups = std::move(buildups);
   study->scope = scope;
@@ -68,12 +67,12 @@ std::shared_ptr<const CompiledStudy> compile_study(const FunctionalBom& bom,
     const BuildUp& b = study->buildups[i];
     if (scope == PipelineScope::CostOnly) {
       study->performance.emplace_back();
-    } else if (!given.performance.empty()) {
+    } else if (i < given.performance.size()) {
       study->performance.push_back(std::move(given.performance[i]));
     } else {
       study->performance.push_back(assess_performance(bom, b, kits));
     }
-    if (!given.areas.empty()) {
+    if (i < given.areas.size()) {
       study->areas.push_back(std::move(given.areas[i]));
     } else {
       metrics::ScopedTimer t(prof != nullptr ? &prof->area : nullptr);

@@ -125,9 +125,10 @@ struct CompiledStudy {
 };
 
 // Per-build-up results a caller already holds (a cache tier, an earlier
-// compile).  Each vector is empty, and compile_study computes it, or holds
-// one entry per build-up, taken as given: the caller vouches that each
-// equals assess_performance / assess_area of its build-up under the
+// compile).  Each vector holds the rows of the study's first build-ups, in
+// order, taken as given; compile_study computes the rows of the rest (all
+// of them when the vector is empty).  The caller vouches that each given
+// row equals assess_performance / assess_area of its build-up under the
 // study's BOM and kits.  Performance rows are read under Full scope only.
 struct StudyParts {
   std::vector<PerformanceResult> performance;

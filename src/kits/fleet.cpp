@@ -149,6 +149,10 @@ KitFleetSummary sweep_kits(const KitRegistry& registry,
 
   KitFleetSummary fleet;
   fleet.kits.reserve(selection.size());
+  // The reference rows do not depend on the kit (see above), so the first
+  // study compiles them and every later study takes them as given.
+  const std::size_t reference_rows = reference.variants.size();
+  core::StudyParts reference_parts;
 
   for (const std::string& name : selection) {
     const ProcessKit& kit = registry.at(name);
@@ -169,8 +173,15 @@ KitFleetSummary sweep_kits(const KitRegistry& registry,
       }
     }
 
-    const core::TechKits tech_kits = apply_passives(kit);
-    const core::AssessmentPipeline pipeline(bom, buildups, tech_kits);
+    const core::AssessmentPipeline pipeline(core::compile_study(
+        bom, buildups, apply_passives(kit), core::PipelineScope::Full, reference_parts));
+    if (reference_parts.areas.empty()) {
+      const core::CompiledStudy& study = *pipeline.study();
+      reference_parts.performance.assign(study.performance.begin(),
+                                         study.performance.begin() + reference_rows);
+      reference_parts.areas.assign(study.areas.begin(),
+                                   study.areas.begin() + reference_rows);
+    }
 
     // Nominal operating point, full fidelity.
     core::AssessmentInputs nominal;

@@ -36,12 +36,6 @@ Ledger Ledger::scaled(double factor) const {
   return out;
 }
 
-double Step::component_cost() const {
-  double sum = 0.0;
-  for (const ComponentInput& c : components) sum += c.unit_cost * c.count;
-  return sum;
-}
-
 int Step::component_count() const {
   int sum = 0;
   for (const ComponentInput& c : components) sum += c.count;

@@ -80,8 +80,7 @@ struct Step {
   double fault_coverage = 0.0;
   FailPolicy on_fail;
 
-  // Cost of all consumed components (one unit's worth).
-  double component_cost() const;
+  // Number of consumed components (one unit's worth).
   int component_count() const;
   // Total fault intensity added by this step (step yield + incoming
   // component yields).

@@ -149,10 +149,10 @@ bool ChaosTransport::forward(int fd, const std::string& payload,
     }
     return false;
   }
-  const std::string wire = frame_bytes(payload);
   if (plan.fires(key, FaultKind::TearFrame)) {
     // A strict prefix: at least 1 byte (the peer sees data arrive) and at
     // most all-but-one (the frame can never complete).
+    const std::string wire = frame_bytes(payload);
     const std::size_t cut = std::max<std::size_t>(1, wire.size() / 2);
     write_bytes(fd, wire.data(), cut);
     {
@@ -163,6 +163,7 @@ bool ChaosTransport::forward(int fd, const std::string& payload,
   }
   if (plan.fires(key, FaultKind::SplitWrite)) {
     // Many tiny writes exercise the peer's short-read reassembly.
+    const std::string wire = frame_bytes(payload);
     constexpr std::size_t kChunk = 7;
     for (std::size_t at = 0; at < wire.size(); at += kChunk) {
       if (!write_bytes(fd, wire.data() + at, std::min(kChunk, wire.size() - at))) {
@@ -174,7 +175,7 @@ bool ChaosTransport::forward(int fd, const std::string& payload,
     ++stats_.frames;
     return true;
   }
-  if (!write_bytes(fd, wire.data(), wire.size())) return false;
+  if (!write_frame(fd, payload)) return false;
   std::lock_guard<std::mutex> lk(stats_m_);
   ++stats_.frames;
   return true;
@@ -197,14 +198,16 @@ void ChaosTransport::pump_connection(int client_fd, std::uint64_t conn_index) {
     }
   }
   if (up_fd >= 0) {
+    FrameReader from_client(client_fd);
+    FrameReader from_upstream(up_fd);
     std::string frame;
     for (std::uint64_t frame_index = 0;; ++frame_index) {
-      if (read_frame(client_fd, frame) != FrameStatus::Ok) break;
+      if (from_client.next(frame) != FrameStatus::Ok) break;
       if (!forward(up_fd, frame, fault_key(conn_index, frame_index, 0))) {
         killed = true;
         break;
       }
-      if (read_frame(up_fd, frame) != FrameStatus::Ok) break;
+      if (from_upstream.next(frame) != FrameStatus::Ok) break;
       if (!forward(client_fd, frame, fault_key(conn_index, frame_index, 1))) {
         killed = true;
         break;

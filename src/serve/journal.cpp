@@ -11,6 +11,7 @@
 #include "common/strfmt.hpp"
 
 #ifndef _WIN32
+#include <sys/uio.h>
 #include <unistd.h>
 #endif
 
@@ -28,16 +29,16 @@ std::uint64_t read_be64(const unsigned char* p) {
   return (static_cast<std::uint64_t>(read_be32(p)) << 32) | read_be32(p + 4);
 }
 
-void put_be32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v >> 24));
-  out.push_back(static_cast<char>(v >> 16));
-  out.push_back(static_cast<char>(v >> 8));
-  out.push_back(static_cast<char>(v));
+void put_be32(unsigned char* out, std::uint32_t v) {
+  out[0] = static_cast<unsigned char>(v >> 24);
+  out[1] = static_cast<unsigned char>(v >> 16);
+  out[2] = static_cast<unsigned char>(v >> 8);
+  out[3] = static_cast<unsigned char>(v);
 }
 
-void put_be64(std::string& out, std::uint64_t v) {
+void put_be64(unsigned char* out, std::uint64_t v) {
   put_be32(out, static_cast<std::uint32_t>(v >> 32));
-  put_be32(out, static_cast<std::uint32_t>(v));
+  put_be32(out + 4, static_cast<std::uint32_t>(v));
 }
 
 [[noreturn]] void reject(const std::string& path, const std::string& what) {
@@ -48,8 +49,16 @@ void put_be64(std::string& out, std::uint64_t v) {
 constexpr std::size_t kHeaderBytes = 4;            // length prefix
 constexpr std::size_t kTrailerBytes = 4;           // crc
 constexpr std::size_t kMinRecordLen = 1 + 8;       // type + seq
+constexpr std::size_t kDigestBytes = 8;            // commit body: crc + length
+constexpr char kJournalV1Magic[8] = {'I', 'P', 'A', 'S', 'S', 'J', '0', '1'};
 
 }  // namespace
+
+ResponseDigest response_digest(const std::string& response) {
+  require(response.size() <= UINT32_MAX, "journal: response too large to digest");
+  return {crc32c(response.data(), response.size()),
+          static_cast<std::uint32_t>(response.size())};
+}
 
 JournalRecovery scan_journal(const std::string& path) {
   JournalRecovery out;
@@ -71,6 +80,14 @@ JournalRecovery scan_journal(const std::string& path) {
     }
     out.truncated_bytes = size;
     return out;
+  }
+  if (std::memcmp(data.data(), kJournalV1Magic, sizeof(kJournalV1Magic)) == 0) {
+    throw PreconditionError(
+        strf("journal '%s': format IPASSJ01 is not supported (this build reads "
+             "IPASSJ02, whose commits carry a response digest); move the old "
+             "journal aside and start a fresh one",
+             path.c_str()),
+        ErrorCode::Parse);
   }
   if (std::memcmp(data.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
     throw PreconditionError(
@@ -105,8 +122,8 @@ JournalRecovery scan_journal(const std::string& path) {
                         record, offset, len));
     }
     const std::uint64_t seq = read_be64(body + 1);
-    std::string text(reinterpret_cast<const char*>(body + kMinRecordLen),
-                     len - kMinRecordLen);
+    const unsigned char* text = body + kMinRecordLen;
+    const std::size_t text_size = len - kMinRecordLen;
     if (type == static_cast<unsigned char>(JournalRecordType::Admit)) {
       if (index.count(seq) != 0) {
         reject(path, strf("record %zu at offset %zu: duplicate admit for seq %llu",
@@ -116,10 +133,16 @@ JournalRecovery scan_journal(const std::string& path) {
       index.emplace(seq, out.entries.size());
       JournalEntry entry;
       entry.seq = seq;
-      entry.request = std::move(text);
+      entry.request.assign(reinterpret_cast<const char*>(text), text_size);
       out.entries.push_back(std::move(entry));
       out.next_seq = std::max(out.next_seq, seq + 1);
     } else {
+      if (text_size != kDigestBytes) {
+        reject(path, strf("record %zu at offset %zu: commit body of %zu bytes for "
+                          "seq %llu, expected an %zu-byte response digest",
+                          record, offset, text_size,
+                          static_cast<unsigned long long>(seq), kDigestBytes));
+      }
       const auto it = index.find(seq);
       if (it == index.end()) {
         reject(path,
@@ -133,7 +156,7 @@ JournalRecovery scan_journal(const std::string& path) {
                     record, offset, static_cast<unsigned long long>(seq)));
       }
       entry.committed = true;
-      entry.response = std::move(text);
+      entry.response = {read_be32(text), read_be32(text + 4)};
     }
     out.records.push_back({offset, static_cast<JournalRecordType>(type), seq});
     offset += kHeaderBytes + len + kTrailerBytes;
@@ -151,14 +174,23 @@ JournalRecovery scan_journal(const std::string& path) {
   return out;
 }
 
-std::string journal_response_stream(const std::string& path) {
+std::string journal_response_stream(const std::string& path,
+                                    const JournalExecutor& execute) {
   JournalRecovery rec = scan_journal(path);
   std::sort(rec.entries.begin(), rec.entries.end(),
             [](const JournalEntry& a, const JournalEntry& b) { return a.seq < b.seq; });
   std::string out;
   for (const JournalEntry& e : rec.entries) {
     if (!e.committed) continue;
-    out += e.response;
+    const std::string response = execute(e.seq, e.request);
+    const ResponseDigest got = response_digest(response);
+    if (got != e.response) {
+      reject(path, strf("seq %llu: re-executed response (crc32c %08x, %u bytes) does "
+                        "not match its commit digest (crc32c %08x, %u bytes)",
+                        static_cast<unsigned long long>(e.seq), got.crc, got.bytes,
+                        e.response.crc, e.response.bytes));
+    }
+    out += response;
     out += '\n';
   }
   return out;
@@ -212,48 +244,64 @@ Journal::~Journal() {
 }
 
 void Journal::append_record(JournalRecordType type, std::uint64_t seq,
-                            const std::string& body) {
-  const std::size_t len = kMinRecordLen + body.size();
+                            const char* body, std::size_t body_size) {
+  const std::size_t len = kMinRecordLen + body_size;
   require(len <= kMaxJournalRecordBytes,
           strf("journal '%s': record of %zu bytes exceeds the %zu-byte cap",
                path_.c_str(), len, kMaxJournalRecordBytes));
-  std::string record;
-  record.reserve(kHeaderBytes + len + kTrailerBytes);
-  put_be32(record, static_cast<std::uint32_t>(len));
-  record.push_back(static_cast<char>(type));
-  put_be64(record, seq);
-  record += body;
-  put_be32(record, crc32c(record.data() + kHeaderBytes, len));
-
-  std::lock_guard<std::mutex> lk(m_);
-  require(std::fwrite(record.data(), 1, record.size(), file_) == record.size(),
-          strf("journal '%s': append failed (disk full?)", path_.c_str()));
+  unsigned char head[kHeaderBytes + kMinRecordLen];
+  put_be32(head, static_cast<std::uint32_t>(len));
+  head[kHeaderBytes] = static_cast<unsigned char>(type);
+  put_be64(head + kHeaderBytes + 1, seq);
+  unsigned char tail[kTrailerBytes];
+  put_be32(tail, crc32c_extend(crc32c(head + kHeaderBytes, kMinRecordLen), body,
+                               body_size));
+  const std::size_t size = sizeof(head) + body_size + sizeof(tail);
+  // One write per record and no lock of our own: an O_APPEND write to a
+  // regular file lands whole, so concurrent appends never interleave and a
+  // kill -9 can tear only a record in flight.
+#ifndef _WIN32
+  iovec iov[3] = {{head, sizeof(head)},
+                  {const_cast<char*>(body), body_size},
+                  {tail, sizeof(tail)}};
+  const bool written = ::writev(::fileno(file_), iov, 3) == static_cast<ssize_t>(size);
+#else
+  std::string record(reinterpret_cast<const char*>(head), sizeof(head));
+  record.append(body, body_size);
+  record.append(reinterpret_cast<const char*>(tail), sizeof(tail));
+  const bool written = std::fwrite(record.data(), 1, size, file_) == size;
+#endif
+  require(written, strf("journal '%s': append failed (disk full?)", path_.c_str()));
 #ifndef _WIN32
   if (options_.sync) {
     ::fsync(::fileno(file_));
     metrics_.fsyncs.add();
   }
 #endif
-  metrics_.bytes.add(record.size());
+  metrics_.bytes.add(size);
   if (type == JournalRecordType::Admit) {
-    ++admits_;
+    admits_.fetch_add(1);
     metrics_.admits.add();
   } else {
-    ++commits_;
+    commits_.fetch_add(1);
     metrics_.commits.add();
   }
 }
 
 void Journal::append_admit(std::uint64_t seq, const std::string& request) {
-  append_record(JournalRecordType::Admit, seq, request);
+  append_record(JournalRecordType::Admit, seq, request.data(), request.size());
 }
 
 void Journal::append_commit(std::uint64_t seq, const std::string& response) {
-  append_record(JournalRecordType::Commit, seq, response);
+  const ResponseDigest digest = response_digest(response);
+  unsigned char body[kDigestBytes];
+  put_be32(body, digest.crc);
+  put_be32(body + 4, digest.bytes);
+  append_record(JournalRecordType::Commit, seq, reinterpret_cast<const char*>(body),
+                sizeof(body));
 }
 
 void Journal::flush() {
-  std::lock_guard<std::mutex> lk(m_);
   std::fflush(file_);
 #ifndef _WIN32
   ::fsync(::fileno(file_));
@@ -262,18 +310,18 @@ void Journal::flush() {
 }
 
 std::uint64_t Journal::admit_count() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return admits_;
+  return admits_.load();
 }
 
 std::uint64_t Journal::commit_count() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return commits_;
+  return commits_.load();
 }
 
 std::uint64_t Journal::lag() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return admits_ - commits_;
+  // Commits load first: a commit never precedes its admit, so the
+  // difference cannot wrap.
+  const std::uint64_t commits = commit_count();
+  return admit_count() - commits;
 }
 
 }  // namespace ipass::serve

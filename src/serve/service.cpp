@@ -134,17 +134,27 @@ AssessmentService::AssessmentService(const ServiceOptions& options,
   }
 }
 
+AssessmentService::Outcome AssessmentService::reexecute_outcome(
+    std::uint64_t seq, const std::string& request_text) const {
+  Task task;
+  task.seq = seq;
+  task.text = request_text;
+  task.admitted = std::chrono::steady_clock::now();
+  // No trace: the original timings are gone with the process that ran it.
+  return process(task, nullptr);
+}
+
+std::string AssessmentService::reexecute(std::uint64_t seq,
+                                         const std::string& request_text) const {
+  return reexecute_outcome(seq, request_text).body;
+}
+
 void AssessmentService::recover_journal() {
   for (const JournalEntry& entry : journal_->recovered().entries) {
     if (entry.committed) continue;
-    Task task;
-    task.seq = entry.seq;
-    task.text = entry.request;
-    task.admitted = std::chrono::steady_clock::now();
-    // No trace: the original timings are gone with the crashed process.
     // The outcome counts like any other completed request.
-    Outcome outcome = process(task, nullptr);
-    journal_->append_commit(task.seq, outcome.body);
+    const Outcome outcome = reexecute_outcome(entry.seq, entry.request);
+    journal_->append_commit(entry.seq, outcome.body);
     metrics_.admitted.add();
     metrics_.recovered.add();
     count_outcome(outcome);

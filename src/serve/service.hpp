@@ -53,10 +53,10 @@ struct ServiceOptions {
   unsigned eval_threads = 1;       // engine threads per request
   FaultPlan faults;                // deterministic fault injection
   // Durable request journal (empty = journaling off).  Every admission
-  // writes an Admit record before processing and a Commit record (the full
-  // response) before the response is returned; on construction the service
-  // recovers the file, truncates any torn tail, and re-executes the
-  // admitted-but-uncommitted suffix so the journal's response stream is
+  // writes an Admit record before processing and a Commit record (the
+  // response's digest) before the response is returned; on construction
+  // the service recovers the file, truncates any torn tail, and re-executes
+  // the admitted-but-uncommitted suffix so the journal's response stream is
   // byte-identical to an uninterrupted run (see serve/journal.hpp).
   std::string journal_path;
   bool journal_sync = false;  // fsync per append (power-loss durability)
@@ -135,6 +135,13 @@ class AssessmentService {
   bool await_drained(std::chrono::milliseconds timeout);
   void flush_journal();
 
+  // The response `request_text` gets when admitted at `seq`, run exactly as
+  // startup recovery re-executes a journaled request: no admission, no
+  // slot, no journal record, no trace and no request counters (the cache
+  // tiers still count their lookups).  Never throws.  This is the executor
+  // journal_response_stream re-checks commits with.
+  std::string reexecute(std::uint64_t seq, const std::string& request_text) const;
+
   const ServiceMetrics& metrics() const { return metrics_; }
   metrics::MetricsRegistry& metrics_registry() const { return metrics_registry_; }
   const ServiceOptions& options() const { return options_; }
@@ -164,6 +171,9 @@ class AssessmentService {
   // `trace` (optional) receives the stage durations and the outcome
   // classification — observability only, never any response byte.
   Outcome process(const Task& task, RequestTrace* trace) const;
+  // process() of a journaled request outside admission: recovery and
+  // reexecute() both run through here.
+  Outcome reexecute_outcome(std::uint64_t seq, const std::string& request_text) const;
   Outcome run_assessment(const Task& task, const AssessmentRequest& request,
                          RequestTrace* trace) const;
   std::string health_response() const;

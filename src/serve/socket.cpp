@@ -28,7 +28,9 @@ SocketMetrics::SocketMetrics(metrics::MetricsRegistry& registry)
       bytes_in(registry.counter("serve_socket_bytes_in_total")),
       bytes_out(registry.counter("serve_socket_bytes_out_total")),
       truncated_frames(registry.counter("serve_socket_truncated_frames_total")),
-      oversized_frames(registry.counter("serve_socket_oversized_frames_total")) {}
+      oversized_frames(registry.counter("serve_socket_oversized_frames_total")),
+      recv_calls(registry.counter("serve_socket_recv_calls_total")),
+      send_calls(registry.counter("serve_socket_send_calls_total")) {}
 
 }  // namespace ipass::serve
 
@@ -37,7 +39,9 @@ SocketMetrics::SocketMetrics(metrics::MetricsRegistry& registry)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -48,19 +52,20 @@ namespace ipass::serve {
 
 namespace {
 
-// Reads until `size` bytes arrived, EOF, or an unrecoverable error; returns
-// the byte count actually read.
-std::size_t read_upto(int fd, char* data, std::size_t size) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, data + got, size - got, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return got;
+// How long the accept loop waits, at the connection cap, for the handler
+// of a peer that already hung up to release its slot.
+constexpr std::chrono::milliseconds kReleaseWait{200};
+
+// True when the peer of some connection in `fds` already hung up: its
+// handler holds the slot only until it reads the EOF.
+bool any_peer_gone(const std::vector<int>& fds) {
+  std::vector<pollfd> polls;
+  polls.reserve(fds.size());
+  for (const int fd : fds) polls.push_back({fd, POLLRDHUP, 0});
+  if (::poll(polls.data(), polls.size(), 0) <= 0) return false;
+  return std::any_of(polls.begin(), polls.end(), [](const pollfd& p) {
+    return (p.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
+  });
 }
 
 }  // namespace
@@ -90,26 +95,80 @@ std::string frame_bytes(const std::string& payload) {
   return wire;
 }
 
-bool write_frame(int fd, const std::string& payload) {
-  const std::string wire = frame_bytes(payload);
-  return write_bytes(fd, wire.data(), wire.size());
+bool write_frame(int fd, const std::string& payload, std::uint64_t* send_calls) {
+  const std::uint32_t size = static_cast<std::uint32_t>(payload.size());
+  unsigned char header[4] = {static_cast<unsigned char>(size >> 24),
+                             static_cast<unsigned char>(size >> 16),
+                             static_cast<unsigned char>(size >> 8),
+                             static_cast<unsigned char>(size)};
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (send_calls != nullptr) ++*send_calls;
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;
+    }
+    // A partial send: drop the iovecs that went out, trim the next one.
+    auto sent = static_cast<std::size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (sent > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return true;
 }
 
-FrameStatus read_frame(int fd, std::string& payload) {
-  unsigned char header[4];
-  const std::size_t header_got = read_upto(fd, reinterpret_cast<char*>(header), 4);
-  if (header_got == 0) return FrameStatus::Eof;  // clean end of stream
-  if (header_got < 4) return FrameStatus::Truncated;
-  const std::uint32_t size = (static_cast<std::uint32_t>(header[0]) << 24) |
-                             (static_cast<std::uint32_t>(header[1]) << 16) |
-                             (static_cast<std::uint32_t>(header[2]) << 8) |
-                             static_cast<std::uint32_t>(header[3]);
-  if (size > kMaxFrameBytes) return FrameStatus::TooLarge;
-  payload.resize(size);
-  if (size > 0 && read_upto(fd, payload.data(), size) < size) {
-    return FrameStatus::Truncated;
+FrameStatus FrameReader::next(std::string& payload) {
+  for (;;) {
+    const std::size_t avail = end_ - begin_;
+    std::size_t need = 4;  // the header, then the whole frame
+    if (avail >= 4) {
+      const auto* h = reinterpret_cast<const unsigned char*>(buf_.data() + begin_);
+      const std::uint32_t size = (static_cast<std::uint32_t>(h[0]) << 24) |
+                                 (static_cast<std::uint32_t>(h[1]) << 16) |
+                                 (static_cast<std::uint32_t>(h[2]) << 8) |
+                                 static_cast<std::uint32_t>(h[3]);
+      if (size > kMaxFrameBytes) return FrameStatus::TooLarge;
+      need = 4 + size;
+      if (avail >= need) {
+        payload.assign(buf_.data() + begin_ + 4, size);
+        begin_ += need;
+        if (begin_ == end_) begin_ = end_ = 0;
+        return FrameStatus::Ok;
+      }
+    }
+    // Room for the rest of the frame: grow to fit it exactly, or move the
+    // partial frame to the front.
+    if (need > buf_.size()) {
+      std::vector<char> grown(std::max(need, kInitialBytes));
+      if (avail > 0) std::memcpy(grown.data(), buf_.data() + begin_, avail);
+      buf_.swap(grown);
+      begin_ = 0;
+      end_ = avail;
+    } else if (begin_ + need > buf_.size()) {
+      std::memmove(buf_.data(), buf_.data() + begin_, avail);
+      begin_ = 0;
+      end_ = avail;
+    }
+    const ssize_t n = ::recv(fd_, buf_.data() + end_, buf_.size() - end_, 0);
+    ++recv_calls_;
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      // A clean end of stream only between frames.
+      return avail == 0 ? FrameStatus::Eof : FrameStatus::Truncated;
+    }
+    end_ += static_cast<std::size_t>(n);
   }
-  return FrameStatus::Ok;
 }
 
 SocketServer::SocketServer(const ServerOptions& options,
@@ -163,12 +222,26 @@ void SocketServer::run() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::unique_lock<std::mutex> lk(conn_m_);
     if (conn_fds_.size() >= options_.max_connections) {
+      // A slot whose peer already hung up is released as soon as its
+      // handler reads the EOF: wait for that rather than refuse a live
+      // client on account of connections that are already gone.
+      const auto give_up = std::chrono::steady_clock::now() + kReleaseWait;
+      while (conn_fds_.size() >= options_.max_connections &&
+             any_peer_gone(conn_fds_) &&
+             released_cv_.wait_until(lk, give_up) != std::cv_status::timeout) {
+      }
+    }
+    if (conn_fds_.size() >= options_.max_connections) {
       lk.unlock();
       // Refuse above the connection cap with a structured frame so the
       // client sees backpressure, not a silent hangup.
       metrics_.connections_refused.add();
-      write_frame(fd, error_response("", ErrorCode::Overload,
-                                     "too many connections; retry later"));
+      std::uint64_t sends = 0;
+      write_frame(fd,
+                  error_response("", ErrorCode::Overload,
+                                 "too many connections; retry later"),
+                  &sends);
+      metrics_.send_calls.add(sends);
       ::close(fd);
       continue;
     }
@@ -211,30 +284,39 @@ void SocketServer::stop() {
 void SocketServer::serve_connections(int fd) {
   std::string request;
   for (;;) {
+    FrameReader reader(fd);
+    std::uint64_t recvs_counted = 0;
+    const auto send_frame = [&](const std::string& frame) {
+      std::uint64_t sends = 0;
+      const bool sent = write_frame(fd, frame, &sends);
+      metrics_.send_calls.add(sends);
+      return sent;
+    };
     for (;;) {
-      const FrameStatus status = read_frame(fd, request);
+      const FrameStatus status = reader.next(request);
+      metrics_.recv_calls.add(reader.recv_calls() - recvs_counted);
+      recvs_counted = reader.recv_calls();
       if (status == FrameStatus::Eof) break;
       if (status == FrameStatus::Truncated) {
         // Best-effort: the peer may already be gone, but when only its write
         // side died the structured error tells it the request never reached
         // an engine (a retry is unconditionally safe).
         metrics_.truncated_frames.add();
-        write_frame(fd, error_response("", ErrorCode::Parse,
-                                       "truncated request frame: connection lost "
-                                       "mid-frame; the request was not processed"));
+        send_frame(error_response("", ErrorCode::Parse,
+                            "truncated request frame: connection lost "
+                            "mid-frame; the request was not processed"));
         break;
       }
       if (status == FrameStatus::TooLarge) {
         metrics_.oversized_frames.add();
-        write_frame(fd, error_response("", ErrorCode::Parse,
-                                       strf("request frame exceeds %zu bytes",
-                                            kMaxFrameBytes)));
+        send_frame(error_response("", ErrorCode::Parse,
+                            strf("request frame exceeds %zu bytes", kMaxFrameBytes)));
         break;
       }
       metrics_.frames_in.add();
       metrics_.bytes_in.add(request.size());
       const std::string response = service_->handle(request);
-      if (!write_frame(fd, response)) break;
+      if (!send_frame(response)) break;
       metrics_.frames_out.add();
       metrics_.bytes_out.add(response.size());
     }
@@ -243,6 +325,7 @@ void SocketServer::serve_connections(int fd) {
     // with: the drain must never shut down a reused fd number.
     conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
     ::close(fd);
+    released_cv_.notify_one();
     ++idle_;
     conn_cv_.wait(lk, [&] { return closing_ || !handoff_.empty(); });
     if (handoff_.empty()) return;
@@ -273,6 +356,7 @@ SocketClient::SocketClient(const std::string& host, std::uint16_t port) {
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  reader_ = FrameReader(fd_);
 }
 
 SocketClient::~SocketClient() {
@@ -283,7 +367,7 @@ TransportStatus SocketClient::try_roundtrip(const std::string& request,
                                             std::string& response) {
   require(request.size() <= kMaxFrameBytes, "SocketClient: request too large");
   if (!write_frame(fd_, request)) return TransportStatus::SendError;
-  switch (read_frame(fd_, response)) {
+  switch (reader_.next(response)) {
     case FrameStatus::Ok: return TransportStatus::Ok;
     case FrameStatus::Eof: return TransportStatus::NoResponse;
     case FrameStatus::Truncated: return TransportStatus::TruncatedResponse;
@@ -306,8 +390,8 @@ std::string SocketClient::roundtrip(const std::string& request) {
 
 namespace ipass::serve {
 
-FrameStatus read_frame(int, std::string&) { return FrameStatus::Eof; }
-bool write_frame(int, const std::string&) { return false; }
+FrameStatus FrameReader::next(std::string&) { return FrameStatus::Eof; }
+bool write_frame(int, const std::string&, std::uint64_t*) { return false; }
 bool write_bytes(int, const char*, std::size_t) { return false; }
 std::string frame_bytes(const std::string& payload) {
   std::string wire;

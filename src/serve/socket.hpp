@@ -6,13 +6,20 @@
 // in-process replay see identical bytes.  Frames above kMaxFrameBytes are
 // answered with a structured parse error and the connection is closed
 // (a hostile length header must not make the server allocate gigabytes).
+// Each connection reads through one FrameReader, the only code that parses
+// a frame header: one recv fills its buffer and every whole frame in it is
+// yielded without another call, so a request costs one recv and pipelined
+// requests share one.  write_frame sends the header and the payload with
+// one gather call and no copy.
 //
 // The server is deliberately simple: each connection is served by one
 // handler thread that runs its requests to completion, in order (responses
 // come back in request order).  Handlers are started only when none is
 // idle and are reused after their connection closes, so at most
-// max_connections exist; admission control proper lives in the
-// AssessmentService behind it.
+// max_connections exist.  At that cap a new connection waits briefly when
+// some open connection's peer has already hung up (its handler is about
+// to release the slot) and is refused otherwise; admission control proper
+// lives in the AssessmentService behind it.
 //
 // Shutdown is a graceful drain: stop() unblocks the accept loop, after
 // which run() stops admitting (new frames get structured overload
@@ -47,10 +54,39 @@ inline constexpr std::size_t kMaxFrameBytes = 1U << 20;  // 1 MiB
 // deterministic — but accounted separately).
 enum class FrameStatus { Ok, Eof, Truncated, TooLarge };
 
-// Low-level framing, shared by the server, the clients and the chaos
-// transport (POSIX only; on _WIN32 these fail like the classes below).
-FrameStatus read_frame(int fd, std::string& payload);
-bool write_frame(int fd, const std::string& payload);
+// Reads the frames of one connection (it does not own the fd).  The buffer
+// is allocated at the first read, small, and grows only to hold the
+// largest frame seen; a length header above kMaxFrameBytes is refused
+// before anything is allocated for it.  Shared by the server, the client
+// and the chaos transport (POSIX only; on _WIN32 every read is Eof).
+class FrameReader {
+ public:
+  static constexpr std::size_t kInitialBytes = 4096;
+
+  FrameReader() = default;
+  explicit FrameReader(int fd) : fd_(fd) {}
+
+  // The next frame into `payload` (valid only for Ok).  Each refill is one
+  // recv; a frame already whole in the buffer costs none.
+  FrameStatus next(std::string& payload);
+
+  // recv calls so far, the final one that saw EOF included.
+  std::uint64_t recv_calls() const { return recv_calls_; }
+  std::size_t capacity() const { return buf_.size(); }
+
+ private:
+  int fd_ = -1;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;  // unread bytes are [begin_, end_)
+  std::size_t end_ = 0;
+  std::uint64_t recv_calls_ = 0;
+};
+
+// One gather send per call of the 4-byte header and the payload, resumed
+// after a partial send until the frame is out; adds its send calls to
+// `send_calls` when given.  False when the connection failed.
+bool write_frame(int fd, const std::string& payload,
+                 std::uint64_t* send_calls = nullptr);
 bool write_bytes(int fd, const char* data, std::size_t size);
 // The exact wire form of a frame (header + payload) — what a fault
 // injector tears or splits.
@@ -68,8 +104,10 @@ struct ServerOptions {
 
 // Server-side transport counters, resolved once from a registry
 // (serve_socket_*).  Only SocketServer records here — the shared frame
-// helpers stay metric-free so clients and tests don't pollute the server's
-// picture of its own wire.
+// helpers stay metric-free (FrameReader and write_frame only report their
+// recv and send call counts) so clients and tests don't pollute the
+// server's picture of its own wire.  The syscall counts are in the metrics
+// dump, not the stats probe.
 struct SocketMetrics {
   explicit SocketMetrics(metrics::MetricsRegistry& registry);
   metrics::Counter& connections_accepted;
@@ -80,6 +118,8 @@ struct SocketMetrics {
   metrics::Counter& bytes_out;
   metrics::Counter& truncated_frames;
   metrics::Counter& oversized_frames;
+  metrics::Counter& recv_calls;
+  metrics::Counter& send_calls;
 };
 
 class SocketServer {
@@ -121,6 +161,7 @@ class SocketServer {
   // handler is idle or owns one open connection.
   std::mutex conn_m_;
   std::condition_variable conn_cv_;
+  std::condition_variable released_cv_;  // a connection left conn_fds_
   std::vector<int> conn_fds_;  // open connections, for shutdown on stop
   std::vector<int> handoff_;   // accepted fds promised to idle handlers
   std::size_t idle_ = 0;
@@ -163,6 +204,7 @@ class SocketClient {
 
  private:
   int fd_ = -1;
+  FrameReader reader_;
 };
 
 }  // namespace ipass::serve

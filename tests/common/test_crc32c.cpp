@@ -39,6 +39,26 @@ TEST(Crc32c, StreamingMatchesOneShot) {
   }
 }
 
+// The dispatched path (the CRC32 instruction where the CPU has it) and the
+// portable table agree at every length and alignment, streamed or not.
+TEST(Crc32c, DispatchedPathMatchesTheTable) {
+  std::string data(300, '\0');
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>((i * 167 + 13) ^ (i >> 3));
+  }
+  for (std::size_t offset = 0; offset < 9; ++offset) {
+    for (std::size_t size = 0; offset + size <= data.size(); size += 7) {
+      const char* p = data.data() + offset;
+      EXPECT_EQ(crc32c(p, size), crc32c_extend_table(0, p, size))
+          << "offset " << offset << " size " << size;
+      EXPECT_EQ(crc32c_extend(0x12345678U, p, size),
+                crc32c_extend_table(0x12345678U, p, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  EXPECT_EQ(crc32c_extend_table(0, "123456789", 9), 0xE3069283U);
+}
+
 TEST(Crc32c, DetectsSingleBitFlips) {
   std::string data = "{\"id\": \"r1\", \"kit_name\": \"ltcc-ceramic\"}";
   const std::uint32_t good = crc32c(data.data(), data.size());

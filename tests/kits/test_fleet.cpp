@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/metrics.hpp"
+#include "core/area_assess.hpp"
 #include "core/export.hpp"
+#include "core/perf_assess.hpp"
 #include "gps/bom.hpp"
 #include "gps/casestudy.hpp"
 #include "kits/fleet.hpp"
@@ -126,6 +129,102 @@ void expect_fleet_bits(const KitFleetSummary& a, const KitFleetSummary& b) {
     EXPECT_EQ(ka.pareto.frontier_counts, kb.pareto.frontier_counts);
     EXPECT_EQ(ka.grid.wins_per_buildup, kb.grid.wins_per_buildup);
   }
+}
+
+void expect_performance_bits(const core::PerformanceResult& a,
+                             const core::PerformanceResult& b, const std::string& where) {
+  EXPECT_TRUE(bits_equal(a.score, b.score)) << where;
+  ASSERT_EQ(a.filters.size(), b.filters.size()) << where;
+  for (std::size_t i = 0; i < a.filters.size(); ++i) {
+    const core::FilterPerformance& x = a.filters[i];
+    const core::FilterPerformance& y = b.filters[i];
+    EXPECT_EQ(x.name, y.name) << where;
+    EXPECT_EQ(x.style, y.style) << where << " " << x.name;
+    EXPECT_EQ(x.meets_spec, y.meets_spec) << where << " " << x.name;
+    for (const auto field : {&core::FilterPerformance::il_spec_db,
+                             &core::FilterPerformance::il_calc_db,
+                             &core::FilterPerformance::rejection_spec_db,
+                             &core::FilterPerformance::rejection_calc_db,
+                             &core::FilterPerformance::loss_score,
+                             &core::FilterPerformance::rejection_score,
+                             &core::FilterPerformance::score}) {
+      EXPECT_TRUE(bits_equal(x.*field, y.*field)) << where << " " << x.name;
+    }
+  }
+}
+
+void expect_area_bits(const core::AreaResult& a, const core::AreaResult& b,
+                      const std::string& where) {
+  EXPECT_TRUE(bits_equal(a.component_area_mm2, b.component_area_mm2)) << where;
+  EXPECT_TRUE(bits_equal(a.smd_area_mm2, b.smd_area_mm2)) << where;
+  EXPECT_TRUE(bits_equal(a.substrate.side_mm, b.substrate.side_mm)) << where;
+  EXPECT_TRUE(bits_equal(a.substrate.area_mm2, b.substrate.area_mm2)) << where;
+  EXPECT_TRUE(bits_equal(a.module.side_mm, b.module.side_mm)) << where;
+  EXPECT_TRUE(bits_equal(a.module.area_mm2, b.module.area_mm2)) << where;
+  ASSERT_EQ(a.bom.components.size(), b.bom.components.size()) << where;
+  for (std::size_t i = 0; i < a.bom.components.size(); ++i) {
+    const core::ComponentInstance& x = a.bom.components[i];
+    const core::ComponentInstance& y = b.bom.components[i];
+    EXPECT_EQ(x.name, y.name) << where;
+    EXPECT_EQ(x.mount, y.mount) << where << " " << x.name;
+    EXPECT_EQ(x.area_category, y.area_category) << where << " " << x.name;
+    EXPECT_EQ(x.count, y.count) << where << " " << x.name;
+    EXPECT_TRUE(bits_equal(x.area_mm2, y.area_mm2)) << where << " " << x.name;
+    EXPECT_TRUE(bits_equal(x.unit_price, y.unit_price)) << where << " " << x.name;
+  }
+  ASSERT_EQ(a.bom.filters.size(), b.bom.filters.size()) << where;
+  for (std::size_t i = 0; i < a.bom.filters.size(); ++i) {
+    const core::RealizedFilter& x = a.bom.filters[i];
+    const core::RealizedFilter& y = b.bom.filters[i];
+    EXPECT_EQ(x.spec.name, y.spec.name) << where;
+    EXPECT_EQ(x.style, y.style) << where << " " << x.spec.name;
+    EXPECT_EQ(x.smd_inductors_per_filter, y.smd_inductors_per_filter) << where;
+    EXPECT_TRUE(bits_equal(x.area_mm2, y.area_mm2)) << where << " " << x.spec.name;
+  }
+}
+
+// sweep_kits compiles the shared reference rows once and hands them to
+// every kit's study.  That is sound because an all-SMD build-up reads no
+// passive process: its performance and area rows are bit-identical under
+// every built-in kit's TechKits.
+TEST(KitFleet, ReferenceRowsAreBitIdenticalUnderEveryKitsPassives) {
+  const KitRegistry registry = builtin_kit_registry();
+  const core::FunctionalBom bom = gps::gps_front_end_bom();
+  const ProcessKit& reference = registry.at(kPcbFr4Kit);
+  const core::TechKits own = apply_passives(reference);
+  for (const core::BuildUp& b : make_buildups(reference)) {
+    const core::PerformanceResult perf = core::assess_performance(bom, b, own);
+    const core::AreaResult area = core::assess_area(bom, b, own);
+    for (const std::string& name : registry.names()) {
+      const core::TechKits kits = apply_passives(registry.at(name));
+      const std::string where = b.name + " under " + name;
+      expect_performance_bits(perf, core::assess_performance(bom, b, kits), where);
+      expect_area_bits(area, core::assess_area(bom, b, kits), where);
+    }
+  }
+}
+
+// And the sweep uses that: every build-up runs its MNA sweeps once per
+// sweep, the shared reference rows included, not once per kit study.
+TEST(KitFleet, ReferenceRowsAreCompiledOncePerSweep) {
+  const KitRegistry registry = builtin_kit_registry();
+  const std::vector<std::string> selection = registry.names();
+  std::size_t variants = 0;
+  for (const std::string& name : selection) variants += registry.at(name).variants.size();
+  ASSERT_GT(selection.size(), 2u);
+
+  KitSweepOptions options;
+  options.reference = kPcbFr4Kit;
+  metrics::Histogram& sweeps =
+      metrics::global_metrics().histogram("core_profile_mna_sweeps_ns");
+  metrics::set_profiling_enabled(true);
+  const std::uint64_t before = sweeps.count();
+  const KitFleetSummary fleet = sweep_kits(registry, selection, gps::gps_front_end_bom(),
+                                           options);
+  const std::uint64_t ran = sweeps.count() - before;
+  metrics::set_profiling_enabled(false);
+  ASSERT_EQ(fleet.kits.size(), selection.size());
+  EXPECT_EQ(ran, variants);
 }
 
 KitSweepOptions fleet_options(unsigned threads) {

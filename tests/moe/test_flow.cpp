@@ -61,7 +61,6 @@ TEST(Flow, StepHelpers) {
   const FlowModel flow = simple_flow();
   const Step& assemble = flow.steps()[1];
   EXPECT_EQ(assemble.component_count(), 2);
-  EXPECT_NEAR(assemble.component_cost(), 51.4, 1e-12);
   EXPECT_NEAR(assemble.added_fault_intensity(),
               -std::log(0.99) - std::log(0.95) - std::log(0.99), 1e-12);
 }

@@ -191,7 +191,8 @@ TEST(ChaosSoak, TruncatedRequestFrameGetsStructuredParseError) {
   ASSERT_TRUE(write_bytes(fd, wire.data(), wire.size() / 2));
   ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
   std::string response;
-  ASSERT_EQ(read_frame(fd, response), FrameStatus::Ok);
+  FrameReader reader(fd);
+  ASSERT_EQ(reader.next(response), FrameStatus::Ok);
   EXPECT_NE(response.find("\"code\": \"parse\""), std::string::npos) << response;
   EXPECT_NE(response.find("truncated request frame"), std::string::npos) << response;
   EXPECT_NE(response.find("was not processed"), std::string::npos) << response;

@@ -219,7 +219,8 @@ void one_shot_server(int listen_fd, bool truncate_response) {
   const int fd = ::accept(listen_fd, nullptr, nullptr);
   ASSERT_GE(fd, 0);
   std::string request;
-  ASSERT_EQ(read_frame(fd, request), FrameStatus::Ok);
+  FrameReader reader(fd);
+  ASSERT_EQ(reader.next(request), FrameStatus::Ok);
   if (truncate_response) {
     // Half a frame header: the client must classify Truncated, not hang
     // or misparse.

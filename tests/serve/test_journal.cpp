@@ -21,6 +21,13 @@ std::vector<std::string> committed_requests() {
   return read_request_log(std::string(IPASS_SERVE_LOG_DIR) + "/requests.log");
 }
 
+// Rebuilds committed responses the way ipass_replay --journal does.
+JournalExecutor reexecutor(const AssessmentService& service) {
+  return [&service](std::uint64_t seq, const std::string& request) {
+    return service.reexecute(seq, request);
+  };
+}
+
 std::string tmp_path(const char* name) {
   return ::testing::TempDir() + "ipass_journal_" + name + ".wal";
 }
@@ -60,11 +67,59 @@ TEST(Journal, AppendScanRoundtrip) {
   EXPECT_EQ(rec.uncommitted_count, 1U);
   EXPECT_EQ(rec.truncated_bytes, 0U);
   EXPECT_EQ(rec.entries[0].request, "request zero");
-  EXPECT_EQ(rec.entries[0].response, "response zero");
+  EXPECT_EQ(rec.entries[0].response, response_digest("response zero"));
+  EXPECT_EQ(rec.entries[0].response.bytes, 13U);
   EXPECT_TRUE(rec.entries[0].committed);
   EXPECT_EQ(rec.entries[2].request, "request two");
   EXPECT_FALSE(rec.entries[2].committed);
-  EXPECT_EQ(journal_response_stream(path), "response zero\nresponse one\n");
+  // A commit is 25 bytes whatever its response: the 8-byte digest plus the
+  // record's length, type, seq and CRC.
+  EXPECT_EQ(rec.records[3].offset - rec.records[2].offset, 25U);
+  const std::vector<std::string> responses = {"response zero", "response one"};
+  std::vector<std::uint64_t> executed;
+  EXPECT_EQ(journal_response_stream(path,
+                                    [&](std::uint64_t seq, const std::string& request) {
+                                      executed.push_back(seq);
+                                      EXPECT_EQ(request, seq == 0 ? "request zero"
+                                                                  : "request one");
+                                      return responses.at(seq);
+                                    }),
+            "response zero\nresponse one\n");
+  // Only committed entries are re-executed, in seq order.
+  EXPECT_EQ(executed, (std::vector<std::uint64_t>{0, 1}));
+  std::remove(path.c_str());
+}
+
+// A re-executed response that does not match its commit digest is refused
+// by seq, whether its bytes or only its length differ.
+TEST(Journal, DigestMismatchNamesTheSeq) {
+  const std::string path = tmp_path("mismatch");
+  std::remove(path.c_str());
+  {
+    metrics::MetricsRegistry registry;
+    Journal journal(path, registry);
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      journal.append_admit(s, "request " + std::to_string(s));
+      journal.append_commit(s, "response " + std::to_string(s));
+    }
+  }
+  const auto stream_with = [&](std::uint64_t bad_seq, const std::string& bad) {
+    return journal_response_stream(path, [&](std::uint64_t seq, const std::string&) {
+      return seq == bad_seq ? bad : "response " + std::to_string(seq);
+    });
+  };
+  EXPECT_EQ(stream_with(99, ""), "response 0\nresponse 1\nresponse 2\n");
+  for (const std::string& bad : {std::string("response X"), std::string("response 11")}) {
+    try {
+      stream_with(1, bad);
+      ADD_FAILURE() << "a mismatched digest was accepted: " << bad;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("seq 1:"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("does not match its commit digest"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -164,6 +219,7 @@ TEST(Journal, TornTailAtAnyCutRecoversThePrefix) {
 TEST(Journal, KillAtAnyRecordBoundaryRecoversByteIdentical) {
   const std::vector<std::string> requests = committed_requests();
   ASSERT_GE(requests.size(), 8U);
+  const AssessmentService executor;
 
   // Reference: one uninterrupted journaled run over the whole log.
   const std::string ref_path = tmp_path("ref");
@@ -174,7 +230,8 @@ TEST(Journal, KillAtAnyRecordBoundaryRecoversByteIdentical) {
     AssessmentService service(options);
     for (const std::string& request : requests) service.handle(request);
   }
-  const std::string reference_stream = journal_response_stream(ref_path);
+  const std::string reference_stream =
+      journal_response_stream(ref_path, reexecutor(executor));
   const std::string reference_bytes = read_file(ref_path);
   const JournalRecovery reference = scan_journal(ref_path);
   ASSERT_EQ(reference.entries.size(), requests.size());
@@ -211,7 +268,8 @@ TEST(Journal, KillAtAnyRecordBoundaryRecoversByteIdentical) {
       }
       EXPECT_EQ(service.metrics().recovered.value(), recovered) << "cut at " << cut;
     }
-    EXPECT_EQ(journal_response_stream(crash_path), reference_stream)
+    EXPECT_EQ(journal_response_stream(crash_path, reexecutor(executor)),
+              reference_stream)
         << "cut at " << cut << " (resumed from line " << resume_from << ")";
   }
   std::remove(ref_path.c_str());
@@ -222,6 +280,7 @@ TEST(Journal, KillAtAnyRecordBoundaryRecoversByteIdentical) {
 // byte-identically and count them in metrics().recovered.
 TEST(Journal, ServiceReExecutesUncommittedSuffixOnBoot) {
   const std::vector<std::string> requests = committed_requests();
+  const AssessmentService executor;
   const std::string ref_path = tmp_path("reexec_ref");
   const std::string cut_path = tmp_path("reexec_cut");
   std::remove(ref_path.c_str());
@@ -231,7 +290,8 @@ TEST(Journal, ServiceReExecutesUncommittedSuffixOnBoot) {
     AssessmentService service(options);
     for (std::size_t i = 0; i < 4; ++i) service.handle(requests[i]);
   }
-  const std::string reference_stream = journal_response_stream(ref_path);
+  const std::string reference_stream =
+      journal_response_stream(ref_path, reexecutor(executor));
   const JournalRecovery reference = scan_journal(ref_path);
 
   // Drop two commit records — one spliced out of the middle (its admit's
@@ -264,7 +324,7 @@ TEST(Journal, ServiceReExecutesUncommittedSuffixOnBoot) {
               service.metrics().recovered.value());
     EXPECT_EQ(service.journal()->lag(), 0U);
   }
-  EXPECT_EQ(journal_response_stream(cut_path), reference_stream);
+  EXPECT_EQ(journal_response_stream(cut_path, reexecutor(executor)), reference_stream);
   std::remove(ref_path.c_str());
   std::remove(cut_path.c_str());
 }

@@ -103,7 +103,11 @@ INSTANTIATE_TEST_SUITE_P(
                      "commit without admission for seq 7"},
         RejectedCase{ErrorCode::Validation, "bad_record_type.wal",
                      "unknown record type 9"},
-        RejectedCase{ErrorCode::Validation, "short_seq_record.wal", "too short"}),
+        RejectedCase{ErrorCode::Validation, "short_seq_record.wal", "too short"},
+        RejectedCase{ErrorCode::Parse, "j01_magic.wal",
+                     "format IPASSJ01 is not supported"},
+        RejectedCase{ErrorCode::Validation, "commit_body_not_8_bytes.wal",
+                     "expected an 8-byte response digest"}),
     [](const ::testing::TestParamInfo<RejectedCase>& info) {
       std::string name = info.param.file;
       return name.substr(0, name.find('.'));

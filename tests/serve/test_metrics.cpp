@@ -174,7 +174,10 @@ TEST(MetricsService, JournaledStrayStatsLineIsRefusedOnRecovery) {
   options.journal_path = path;
   AssessmentService service(options);
   EXPECT_EQ(service.metrics().recovered.value(), 1U);
-  const std::string stream = journal_response_stream(path);
+  const std::string stream = journal_response_stream(
+      path, [&](std::uint64_t seq, const std::string& request) {
+        return service.reexecute(seq, request);
+      });
   EXPECT_NE(stream.find("\"code\": \"validation\""), std::string::npos) << stream;
   EXPECT_NE(stream.find("unknown request kind 'stats'"), std::string::npos)
       << stream;
@@ -290,7 +293,11 @@ TEST(MetricsService, JournaledRecoveryIsByteIdenticalWithMetricsOn) {
     ::testing::internal::GetCapturedStderr();
     metrics::set_profiling_enabled(false);
   }
-  EXPECT_EQ(journal_response_stream(path), expected);
+  EXPECT_EQ(journal_response_stream(path,
+                                    [&](std::uint64_t seq, const std::string& request) {
+                                      return reference.reexecute(seq, request);
+                                    }),
+            expected);
   std::remove(path.c_str());
 }
 

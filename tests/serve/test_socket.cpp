@@ -86,8 +86,9 @@ std::size_t vm_size_kb() {
 
 class RunningServer {
  public:
-  explicit RunningServer(const ServerOptions& options)
-      : server_(options), accept_thread_([this] { server_.run(); }) {}
+  explicit RunningServer(const ServerOptions& options,
+                         metrics::MetricsRegistry* registry = nullptr)
+      : server_(options, registry), accept_thread_([this] { server_.run(); }) {}
   ~RunningServer() { stop(); }
 
   SocketServer& server() { return server_; }
@@ -115,12 +116,13 @@ TEST(SocketServer, ConnectionAboveTheCapGetsStructuredOverloadFrame) {
   const int fd = connect_raw(running.port());
   ASSERT_GE(fd, 0);
   std::string frame;
-  ASSERT_EQ(read_frame(fd, frame), FrameStatus::Ok);
+  FrameReader reader(fd);
+  ASSERT_EQ(reader.next(frame), FrameStatus::Ok);
   const JsonValue refusal = parse_json(frame, "refusal");
   EXPECT_EQ(field_str(refusal, "status"), "error");
   EXPECT_EQ(field_str(refusal, "code"), "overload");
   EXPECT_NE(frame.find("too many connections"), std::string::npos) << frame;
-  EXPECT_EQ(read_frame(fd, frame), FrameStatus::Eof);  // then the server hangs up
+  EXPECT_EQ(reader.next(frame), FrameStatus::Eof);  // then the server hangs up
   ::close(fd);
 
   // Closing a connection frees its slot: a new client is served again
@@ -167,6 +169,47 @@ TEST(SocketServer, ShortConnectionsReuseABoundedSetOfHandlerThreads) {
   // One thread stack per connection would be 2000 x 8 MiB of address space;
   // reused handlers leave it flat.
   EXPECT_LE(vm_size_kb(), vm_warm_kb + 16 * 1024) << "warm " << vm_warm_kb << " kB";
+}
+
+// At the connection cap, a slot whose peer already hung up is one its
+// handler is about to release: a new client waits for it instead of
+// being refused.  With a cap of one, every connection races the previous
+// connection's handler to its EOF.
+TEST(SocketServer, ClosedPeersNeverCauseARefusal) {
+  ServerOptions options;
+  options.max_connections = 1;
+  RunningServer running(options);
+  for (int i = 0; i < 500; ++i) {
+    SocketClient client("127.0.0.1", running.port());
+    ASSERT_EQ(field_str(parse_json(client.roundtrip(kHealth), "health"), "status"),
+              "ok")
+        << "connection " << i;
+  }
+  EXPECT_EQ(running.server().service().metrics_registry()
+                .counter("serve_socket_connections_refused_total")
+                .value(),
+            0U);
+}
+
+// One recv per request and one gather send per response: sequential
+// roundtrips on one connection cost the server a recv each (plus the one
+// that sees the EOF) and exactly one send each.
+TEST(SocketServer, EachRoundtripTakesOneRecvAndOneSend) {
+  constexpr int kRoundtrips = 200;
+  metrics::MetricsRegistry registry;
+  {
+    RunningServer running(ServerOptions{}, &registry);
+    SocketClient client("127.0.0.1", running.port());
+    for (int i = 0; i < kRoundtrips; ++i) {
+      ASSERT_EQ(field_str(parse_json(client.roundtrip(kHealth), "health"), "status"),
+                "ok");
+    }
+  }  // the client hangs up first, then the server drains and joins
+  const std::uint64_t recvs = registry.counter("serve_socket_recv_calls_total").value();
+  const std::uint64_t sends = registry.counter("serve_socket_send_calls_total").value();
+  EXPECT_GE(recvs, static_cast<std::uint64_t>(kRoundtrips));
+  EXPECT_LE(static_cast<double>(recvs), 1.05 * kRoundtrips + 1);
+  EXPECT_EQ(sends, static_cast<std::uint64_t>(kRoundtrips));
 }
 
 TEST(SocketServer, DrainWhileConnectingAnswersEveryFrameAndReturns) {

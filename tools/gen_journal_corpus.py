@@ -6,15 +6,20 @@ rejected with a named-field error (structural violations) by
 serve::scan_journal; tests/serve/test_journal_corpus.cpp pins which.  The
 corpus is committed — rerun this only when the journal format changes.
 
-Format (see src/serve/journal.hpp): magic "IPASSJ01", then records of
+Format (see src/serve/journal.hpp): magic "IPASSJ02", then records of
   u32 len | u8 type | u64 seq | body (len - 9 bytes) | u32 crc
 with len covering type+seq+body, CRC-32C over the same region, big-endian.
+An Admit body is the request text; a Commit body is the response's 8-byte
+digest, u32 CRC-32C then u32 length.  The corpus keeps one file per
+recover-or-reject decision, including the refused "IPASSJ01" format, whose
+commits carried the full response.
 """
 
 import os
 import struct
 
-MAGIC = b"IPASSJ01"
+MAGIC = b"IPASSJ02"
+V1_MAGIC = b"IPASSJ01"
 ADMIT, COMMIT = 1, 2
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "tests", "serve", "journal_corpus")
@@ -43,8 +48,12 @@ def admit(seq: int, request: bytes) -> bytes:
     return record(ADMIT, seq, request)
 
 
+def digest(response: bytes) -> bytes:
+    return struct.pack(">II", crc32c(response), len(response))
+
+
 def commit(seq: int, response: bytes) -> bytes:
-    return record(COMMIT, seq, response)
+    return record(COMMIT, seq, digest(response))
 
 
 def write(name: str, payload: bytes) -> None:
@@ -80,6 +89,12 @@ def main() -> None:
     write("short_seq_record.wal",
           base + struct.pack(">I", len(short)) + short
           + struct.pack(">I", crc32c(short)))
+    # A J01 writer's file: its commits carry the whole response.
+    write("j01_magic.wal",
+          V1_MAGIC + admit(0, b"req zero") + record(COMMIT, 0, b"resp zero"))
+    # The J01 commit shape under the J02 magic: not a digest.
+    write("commit_body_not_8_bytes.wal",
+          MAGIC + admit(0, b"req zero") + record(COMMIT, 0, b"resp zero"))
 
 
 if __name__ == "__main__":

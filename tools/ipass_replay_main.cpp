@@ -5,7 +5,7 @@
 //                [--eval-threads N] [--faults SPEC]           (in-process)
 //   ipass_replay --log FILE --connect HOST:PORT               (over TCP)
 //   ipass_replay --log FILE --journal FILE --connect HOST:PORT  (resume)
-//   ipass_replay --journal FILE             (print the recovered stream)
+//   ipass_replay --journal FILE [--faults SPEC]  (print the recovered stream)
 //   ipass_replay --health HOST:PORT         (readiness probe)
 //   ipass_replay --stats HOST:PORT          (operational stats probe)
 //
@@ -19,7 +19,10 @@
 //
 // Crash-recovery modes: --journal alone prints the journal's committed
 // response stream (seq order — what the kill-smoke cmps against an
-// uninterrupted run); --journal with --log and --connect resumes an
+// uninterrupted run).  A commit keeps only its response's digest, so each
+// committed request is re-executed in-process, under the options given here
+// (pass the daemon's --faults), and checked against that digest; a
+// mismatch exits 1 naming the seq.  --journal with --log and --connect resumes an
 // interrupted replay, skipping the log lines the journal already admitted
 // (a sequential replay admits in log order, so the admit count IS the
 // resume point) and sending only the remainder.  --health retries a
@@ -139,7 +142,7 @@ int main(int argc, char** argv) {
                      "usage: ipass_replay --log FILE [--connect HOST:PORT] "
                      "[--journal FILE] [--throttle-ms N] [--workers N] [--queue N] "
                      "[--cache N] [--eval-threads N] [--faults SPEC]\n"
-                     "       ipass_replay --journal FILE\n"
+                     "       ipass_replay --journal FILE [--faults SPEC]\n"
                      "       ipass_replay --health HOST:PORT\n"
                      "       ipass_replay --stats HOST:PORT\n"
                      "  --cache N  entries kept by each of the two cache tiers, "
@@ -169,8 +172,11 @@ int main(int argc, char** argv) {
 
     if (log_path.empty() && !journal_path.empty()) {
       // Print the journal's committed response stream and nothing else.
-      const std::string stream =
-          ipass::serve::journal_response_stream(journal_path);
+      const ipass::serve::AssessmentService service(options);
+      const std::string stream = ipass::serve::journal_response_stream(
+          journal_path, [&](std::uint64_t seq, const std::string& request) {
+            return service.reexecute(seq, request);
+          });
       std::fwrite(stream.data(), 1, stream.size(), stdout);
       return 0;
     }
