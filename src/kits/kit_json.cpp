@@ -256,22 +256,21 @@ void append_variant(std::string& out, const KitVariant& v) {
   out += "\n    }";
 }
 
-rf::QModel read_qmodel(const JsonValue& v, const std::string& scope) {
-  ObjectReader r(v, scope, kContext);
+rf::QModel read_qmodel(ObjectReader r) {
   const double q_peak = r.num("q_peak");
   const double f_peak = r.num("f_peak");
   const double slope = r.num("slope");
   r.done();
   // The shared QModel gate (kit_checks.hpp) — the same check validate_kit
   // applies to an in-memory kit, so a sign-typo q_peak is rejected with one
-  // message shape and ErrorCode no matter which door the kit came in.
-  checks::check_qmodel_peak(q_peak, scope, "");
+  // message shape and ErrorCode no matter which door the kit came in.  The
+  // scope string is built only for the message.
+  if (!(q_peak >= 0.0)) checks::check_qmodel_peak(q_peak, r.scope(), "");
   if (q_peak == 0.0) return rf::QModel::lossless();
   return rf::QModel::peaked(q_peak, f_peak, slope);
 }
 
-tech::SubstrateTechnology read_substrate(const JsonValue& v, const std::string& scope) {
-  ObjectReader r(v, scope, kContext);
+tech::SubstrateTechnology read_substrate(ObjectReader r) {
   tech::SubstrateTechnology s;
   s.name = r.str("name");
   s.kind = parse_kind(r.str("kind"));
@@ -285,22 +284,20 @@ tech::SubstrateTechnology read_substrate(const JsonValue& v, const std::string& 
   return s;
 }
 
-tech::CapacitorProcess read_capacitor(const JsonValue& v, const std::string& scope) {
-  ObjectReader r(v, scope, kContext);
+tech::CapacitorProcess read_capacitor(ObjectReader r) {
   tech::CapacitorProcess c;
   c.dielectric = parse_dielectric(r.str("dielectric"));
   c.density_pf_mm2 = r.num("density_pf_mm2");
   c.terminal_overhead_mm2 = r.num("terminal_overhead_mm2");
-  c.quality = read_qmodel(r.obj("quality"), scope + ".quality");
+  c.quality = read_qmodel(r.obj("quality"));
   r.done();
   return c;
 }
 
-KitPassives read_passives(const JsonValue& v, const std::string& scope) {
-  ObjectReader r(v, scope, kContext);
+KitPassives read_passives(ObjectReader r) {
   KitPassives p;
   {
-    ObjectReader res(r.obj("resistor"), scope + ".resistor", kContext);
+    ObjectReader res = r.obj("resistor");
     p.resistor.sheet_ohm_sq = res.num("sheet_ohm_sq");
     p.resistor.line_width_um = res.num("line_width_um");
     p.resistor.meander_pitch_factor = res.num("meander_pitch_factor");
@@ -309,10 +306,10 @@ KitPassives read_passives(const JsonValue& v, const std::string& scope) {
     p.resistor.trimmed_tolerance = res.num("trimmed_tolerance");
     res.done();
   }
-  p.precision_cap = read_capacitor(r.obj("precision_cap"), scope + ".precision_cap");
-  p.decap_cap = read_capacitor(r.obj("decap_cap"), scope + ".decap_cap");
+  p.precision_cap = read_capacitor(r.obj("precision_cap"));
+  p.decap_cap = read_capacitor(r.obj("decap_cap"));
   {
-    ObjectReader sp(r.obj("spiral"), scope + ".spiral", kContext);
+    ObjectReader sp = r.obj("spiral");
     p.spiral.line_width_um = sp.num("line_width_um");
     p.spiral.line_spacing_um = sp.num("line_spacing_um");
     p.spiral.metal_sheet_ohm_sq = sp.num("metal_sheet_ohm_sq");
@@ -332,8 +329,7 @@ KitPassives read_passives(const JsonValue& v, const std::string& scope) {
   return p;
 }
 
-core::ProductionData read_production(const JsonValue& v, const std::string& scope) {
-  ObjectReader r(v, scope, kContext);
+core::ProductionData read_production(ObjectReader r) {
   core::ProductionData pd;
   pd.rf_chip_cost = r.num("rf_chip_cost");
   pd.rf_chip_yield = r.num("rf_chip_yield");
@@ -358,10 +354,11 @@ core::ProductionData read_production(const JsonValue& v, const std::string& scop
   // exactly the bit-pinned single-die walk.
   pd.bond_cost = r.num_or("bond_cost", 0.0);
   pd.bond_yield = r.num_or("bond_yield", 1.0);
-  if (const JsonValue* dies = r.find("dies", JsonValue::Type::Array)) {
-    for (std::size_t i = 0; i < dies->array.size(); ++i) {
-      const std::string die_scope = strf("%s.dies[%zu]", scope.c_str(), i);
-      ObjectReader dr(dies->array[i], die_scope, kContext);
+  if (const JsonRef dies = r.find("dies", JsonType::Array)) {
+    pd.dies.reserve(dies.size());
+    std::size_t i = 0;
+    for (const JsonRef die : dies) {
+      ObjectReader dr(die, r, "dies", i++);
       core::DieSpec d;
       d.name = dr.str("name");
       d.cost = dr.num("cost");
@@ -378,8 +375,7 @@ core::ProductionData read_production(const JsonValue& v, const std::string& scop
   return pd;
 }
 
-KitVariant read_variant(const JsonValue& v, const std::string& scope) {
-  ObjectReader r(v, scope, kContext);
+KitVariant read_variant(ObjectReader r) {
   KitVariant out;
   out.name = r.str("name");
   out.policy = parse_policy(r.str("policy"));
@@ -387,30 +383,31 @@ KitVariant read_variant(const JsonValue& v, const std::string& scope) {
   out.parts_grade = parse_grade(r.str("parts_grade"));
   out.uses_laminate = r.boolean("uses_laminate");
   out.smd_on_laminate = r.boolean("smd_on_laminate");
-  out.production = read_production(r.obj("production"), scope + ".production");
+  out.production = read_production(r.obj("production"));
   r.done();
   return out;
 }
 
-ProcessKit read_kit(const JsonValue& v) {
+ProcessKit read_kit(JsonRef v) {
   ObjectReader r(v, "kit", kContext);
   ProcessKit kit;
   kit.name = r.str("name");
   kit.version = r.str("version");
   kit.maturity = parse_maturity(r.str("maturity"));
   kit.notes = r.str("notes");
-  kit.substrate = read_substrate(r.obj("substrate"), "kit.substrate");
-  kit.passives = read_passives(r.obj("passives"), "kit.passives");
+  kit.substrate = read_substrate(r.obj("substrate"));
+  kit.passives = read_passives(r.obj("passives"));
   {
-    ObjectReader c(r.obj("corner"), "kit.corner", kContext);
+    ObjectReader c = r.obj("corner");
     kit.corner.fault_scale = c.num("fault_scale");
     kit.corner.cost_scale = c.num("cost_scale");
     c.done();
   }
-  const JsonValue& variants = r.arr("variants");
-  for (std::size_t i = 0; i < variants.array.size(); ++i) {
-    kit.variants.push_back(
-        read_variant(variants.array[i], strf("kit.variants[%zu]", i)));
+  const JsonRef variants = r.arr("variants");
+  kit.variants.reserve(variants.size());
+  std::size_t i = 0;
+  for (const JsonRef variant : variants) {
+    kit.variants.push_back(read_variant(ObjectReader(variant, r, "variants", i++)));
   }
   r.done();
   validate_kit(kit);
@@ -456,18 +453,18 @@ std::string registry_json(const KitRegistry& registry) {
 }
 
 ProcessKit parse_kit_json(const std::string& text) {
-  return read_kit(parse_json(text, kContext));
+  return read_kit(JsonDocument(text, kContext).root());
 }
 
-ProcessKit parse_kit_json_value(const JsonValue& value) { return read_kit(value); }
+ProcessKit parse_kit_json_value(JsonRef value) { return read_kit(value); }
 
 KitRegistry parse_registry_json(const std::string& text) {
-  const JsonValue doc = parse_json(text, kContext);
-  ObjectReader r(doc, "registry", kContext);
-  const JsonValue& kits = r.arr("kits");
+  const JsonDocument doc(text, kContext);
+  ObjectReader r(doc.root(), "registry", kContext);
+  const JsonRef kits = r.arr("kits");
   r.done();
   KitRegistry registry;
-  for (const JsonValue& k : kits.array) {
+  for (const JsonRef k : kits) {
     registry.add(read_kit(k));  // re-validates; duplicates rejected by name
   }
   return registry;

@@ -3,9 +3,9 @@
 // The serializer uses the library's one JSON writer (common/jsonfmt.hpp,
 // shared with core::export and the served responses): every double in the
 // %.17g format of the golden files, which round-trips IEEE-754 binary64
-// exactly; the loader parses with strtod — so kit -> JSON -> kit is
-// bit-identical field for field, and a kit file produced on one machine
-// reproduces the same assessment everywhere.  The loader validates on the
+// exactly; the loader reads back the nearest binary64 — so kit -> JSON ->
+// kit is bit-identical field for field, and a kit file produced on one
+// machine reproduces the same assessment everywhere.  The loader validates on the
 // way in (validate_kit): out-of-range yields, negative costs and duplicate
 // kit names are rejected with messages naming the kit and field.
 #pragma once
@@ -32,10 +32,10 @@ std::string registry_json(const KitRegistry& registry);
 // unknown enum tokens, missing required fields, or contract violations.
 ProcessKit parse_kit_json(const std::string& text);
 
-// The same from an already-parsed JSON value — for documents that embed a
-// kit object inside a larger envelope (the serve wire protocol's inline
-// kits).  Validation is identical to parse_kit_json.
-ProcessKit parse_kit_json_value(const JsonValue& value);
+// The same from a value of an already-parsed document — for documents that
+// embed a kit object inside a larger envelope (the serve wire protocol's
+// inline kits).  Validation is identical to parse_kit_json.
+ProcessKit parse_kit_json_value(JsonRef value);
 
 // Parse a registry document; duplicate kit names are rejected.
 KitRegistry parse_registry_json(const std::string& text);

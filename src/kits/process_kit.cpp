@@ -32,9 +32,8 @@ using checks::check_qmodel_peak;
 using checks::check_scale;
 using checks::check_yield;
 
-void validate_production(const core::ProductionData& pd, const std::string& kit,
-                         const std::string& variant) {
-  const std::string scope = strf("%s/%s", kit.c_str(), variant.c_str());
+// `scope` names the kit and variant ("ltcc-ceramic/LTCC-IP").
+void validate_production(const core::ProductionData& pd, const std::string& scope) {
   // Every scalar field via the completeness-guarded table — a new
   // ProductionData member cannot dodge validation without failing the
   // static_assert in core/buildup.hpp.
@@ -50,8 +49,7 @@ void validate_production(const core::ProductionData& pd, const std::string& kit,
     const core::DieSpec& d = pd.dies[i];
     const checks::ScalarFieldChecker die_field{scope,
                                                strf("production.dies[%zu].", i)};
-    check(!d.name.empty(), scope, die_field.label("name").c_str(),
-          "must not be empty");
+    check(!d.name.empty(), scope, die_field.label("name"), "must not be empty");
 #define IPASS_CHECK_FIELD(name, role) die_field.role(d.name, #name);
     IPASS_DIE_SCALAR_FIELDS(IPASS_CHECK_FIELD)
 #undef IPASS_CHECK_FIELD
@@ -128,16 +126,15 @@ void validate_kit(const ProcessKit& kit) {
 
   for (const KitVariant& v : kit.variants) {
     check(!v.name.empty(), kit.name, "variant.name", "must not be empty");
+    const std::string scope = strf("%s/%s", kit.name.c_str(), v.name.c_str());
     check(v.policy == core::PassivePolicy::AllSmd || kit.substrate.supports_integrated_passives,
-          strf("%s/%s", kit.name.c_str(), v.name.c_str()), "policy",
-          "needs integrated passives the substrate cannot host");
+          scope, "policy", "needs integrated passives the substrate cannot host");
     // Without a laminate there is nowhere to mount laminate-side SMDs.
     // The flow emitter refuses such a build-up too; checking here names the
     // kit and variant at load time.
-    check(!v.smd_on_laminate || v.uses_laminate,
-          strf("%s/%s", kit.name.c_str(), v.name.c_str()), "smd_on_laminate",
+    check(!v.smd_on_laminate || v.uses_laminate, scope, "smd_on_laminate",
           "requires uses_laminate");
-    validate_production(v.production, kit.name, v.name);
+    validate_production(v.production, scope);
   }
 }
 

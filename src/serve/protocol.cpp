@@ -15,40 +15,8 @@ constexpr const char* kContext = "serve request";
   throw PreconditionError(strf("%s: %s", kContext, what.c_str()),
                           ErrorCode::Validation);
 }
-}  // namespace
 
-ProbeKind probe_kind(const std::string& text) {
-  // Fast reject: a probe must literally contain the "kind" key.  (Inline-kit
-  // requests can contain the substring inside the kit document; they survive
-  // the full parse below as non-probes.)
-  if (text.find("\"kind\"") == std::string::npos) return ProbeKind::None;
-  try {
-    const JsonValue root = parse_json(text, "probe");
-    if (root.type != JsonValue::Type::Object) return ProbeKind::None;
-    for (const auto& [key, value] : root.object) {
-      if (key == "kind") {
-        if (value.type != JsonValue::Type::String) return ProbeKind::None;
-        if (value.string == "health") return ProbeKind::Health;
-        if (value.string == "stats") return ProbeKind::Stats;
-        return ProbeKind::None;
-      }
-    }
-  } catch (const std::exception&) {
-    // Not even JSON — let the normal request path produce the parse error.
-  }
-  return ProbeKind::None;
-}
-
-bool is_health_request(const std::string& text) {
-  return probe_kind(text) == ProbeKind::Health;
-}
-
-bool is_stats_request(const std::string& text) {
-  return probe_kind(text) == ProbeKind::Stats;
-}
-
-AssessmentRequest parse_request(const std::string& text) {
-  const JsonValue root = parse_json(text, kContext);
+AssessmentRequest read_request(JsonRef root) {
   ObjectReader r(root, "request", kContext);
   AssessmentRequest req;
   const std::string kind = r.str_or("kind", "assess");
@@ -64,17 +32,17 @@ AssessmentRequest parse_request(const std::string& text) {
   req.id = r.str("id");
   if (req.id.empty()) reject("'id' must not be empty");
 
-  const JsonValue* inline_kit = r.find("kit", JsonValue::Type::Object);
+  const JsonRef inline_kit = r.find("kit", JsonType::Object);
   req.kit_name = r.str_or("kit_name", "");
-  if (inline_kit != nullptr && !req.kit_name.empty()) {
+  if (inline_kit && !req.kit_name.empty()) {
     reject("send exactly one of 'kit' and 'kit_name', not both");
   }
-  if (inline_kit == nullptr && req.kit_name.empty()) {
+  if (!inline_kit && req.kit_name.empty()) {
     reject("request needs a 'kit' object or a 'kit_name'");
   }
-  if (inline_kit != nullptr) {
+  if (inline_kit) {
     req.has_inline_kit = true;
-    req.inline_kit = kits::parse_kit_json_value(*inline_kit);
+    req.inline_kit = kits::parse_kit_json_value(inline_kit);
   }
 
   req.bom = r.str_or("bom", req.bom);
@@ -96,31 +64,61 @@ AssessmentRequest parse_request(const std::string& text) {
     reject("sensitivity needs scope 'full'");
   }
 
-  if (const JsonValue* w = r.find("weights", JsonValue::Type::Object)) {
-    ObjectReader wr(*w, "request.weights", kContext);
+  if (const JsonRef w = r.find("weights", JsonType::Object)) {
+    ObjectReader wr(w, r, "weights");
     req.weights.performance = wr.num_or("performance", 1.0);
     req.weights.size = wr.num_or("size", 1.0);
     req.weights.cost = wr.num_or("cost", 1.0);
     wr.done();
   }
 
-  if (const JsonValue* v = r.find("volume", JsonValue::Type::Number)) {
-    req.volume = v->number;
+  if (const JsonRef v = r.find("volume", JsonType::Number)) {
+    req.volume = v.number();
     if (!(req.volume > 0.0) || !std::isfinite(req.volume)) {
       reject("'volume' must be a positive finite number");
     }
   }
 
-  if (const JsonValue* d = r.find("deadline_ms", JsonValue::Type::Number)) {
-    if (!(d->number >= 0.0) || d->number != std::floor(d->number) ||
-        d->number > 86400000.0) {
+  if (const JsonRef d = r.find("deadline_ms", JsonType::Number)) {
+    const double ms = d.number();
+    if (!(ms >= 0.0) || ms != std::floor(ms) || ms > 86400000.0) {
       reject("'deadline_ms' must be a whole number of milliseconds in [0, 86400000]");
     }
-    req.deadline_ms = static_cast<std::int64_t>(d->number);
+    req.deadline_ms = static_cast<std::int64_t>(ms);
   }
 
   r.done();
   return req;
+}
+
+}  // namespace
+
+RequestDocument parse_request_document(const std::string& text) {
+  RequestDocument doc;
+  try {
+    doc.json = JsonDocument(text, kContext);
+  } catch (...) {
+    doc.error = std::current_exception();
+  }
+  return doc;
+}
+
+ProbeKind probe_kind(const RequestDocument& doc) {
+  if (doc.error) return ProbeKind::None;
+  const JsonRef root = doc.json.root();
+  if (root.type() != JsonType::Object) return ProbeKind::None;
+  for (const auto& [key, value] : root.members()) {
+    if (key != "kind") continue;
+    if (value.string() == "health") return ProbeKind::Health;
+    if (value.string() == "stats") return ProbeKind::Stats;
+    return ProbeKind::None;
+  }
+  return ProbeKind::None;
+}
+
+AssessmentRequest parse_request(const RequestDocument& doc) {
+  if (doc.error) std::rethrow_exception(doc.error);
+  return read_request(doc.json.root());
 }
 
 std::string study_cache_key(const AssessmentRequest& request) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <string>
 
 #include "common/error.hpp"
@@ -38,15 +39,23 @@ inline constexpr const char* kWireVersion = "ipass-serve/9";
 // scrape never perturbs the deterministic request stream.
 enum class ProbeKind { None, Health, Stats };
 
-// Classify `text` as a probe: {"kind": "health"} or {"kind": "stats"} (and
-// nothing else of consequence).  Cheap on the hot path: the full parse only
-// runs when the text contains a "kind" key at all.
-ProbeKind probe_kind(const std::string& text);
+// One request text, parsed once onto a JSON tape: the admission probe
+// check and the request reader both read this, so no request is parsed
+// twice.  Exactly one of the two is set: the document of a well-formed
+// text, or the parse error a malformed one raised (PreconditionError,
+// ErrorCode::Parse), kept to be thrown when the request is processed.
+struct RequestDocument {
+  JsonDocument json;
+  std::exception_ptr error;
+};
 
-// Whether `text` is a health probe (probe_kind == Health).
-bool is_health_request(const std::string& text);
-// Whether `text` is a stats probe (probe_kind == Stats).
-bool is_stats_request(const std::string& text);
+// Parse `text` onto its tape; never throws.
+RequestDocument parse_request_document(const std::string& text);
+
+// Classify a request as a probe by its top-level "kind" field:
+// {"kind": "health"} or {"kind": "stats"} (other fields are ignored).  A
+// malformed text, a non-object or any other kind is not a probe.
+ProbeKind probe_kind(const RequestDocument& doc);
 
 // A parsed, field-validated request.  Kit identity is either a registry
 // name or an inline kit document (exactly one of the two).
@@ -65,10 +74,11 @@ struct AssessmentRequest {
   std::int64_t deadline_ms = 0;    // 0 = no deadline
 };
 
-// Parse and validate one request.  Throws PreconditionError carrying
-// ErrorCode::Parse for malformed JSON and ErrorCode::Validation for a
-// well-formed document that violates the envelope contract.
-AssessmentRequest parse_request(const std::string& text);
+// Read and validate one request off its document.  Throws the document's
+// parse error (ErrorCode::Parse) for malformed JSON, and PreconditionError
+// carrying ErrorCode::Validation for a well-formed document that violates
+// the envelope contract.
+AssessmentRequest parse_request(const RequestDocument& doc);
 
 // Identity of the compile artifact a request needs: the canonical kit_json
 // text of the kit (doubles in the %.17g format) plus reference/bom/scope.

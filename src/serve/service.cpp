@@ -138,7 +138,7 @@ AssessmentService::Outcome AssessmentService::reexecute_outcome(
     std::uint64_t seq, const std::string& request_text) const {
   Task task;
   task.seq = seq;
-  task.text = request_text;
+  task.request = parse_request_document(request_text);
   task.admitted = std::chrono::steady_clock::now();
   // No trace: the original timings are gone with the process that ran it.
   return process(task, nullptr);
@@ -170,10 +170,15 @@ AssessmentService::~AssessmentService() {
 
 bool AssessmentService::admit(const std::string& request_text, Task& task,
                               std::string& answer) {
+  // The one parse of the request, before the lock: the probe check reads
+  // its top-level "kind" and process() reads the fields off the same tape.
+  task.received = std::chrono::steady_clock::now();
+  task.request = parse_request_document(request_text);
+  task.parse_ns = ns_since(task.received);
   // Probes bypass admission entirely: no sequence number, no slot, no
   // journal record — a readiness check or a metrics scrape must not perturb
   // the deterministic request stream.
-  const ProbeKind probe = probe_kind(request_text);
+  const ProbeKind probe = probe_kind(task.request);
   std::lock_guard<std::mutex> lk(m_);
   if (probe == ProbeKind::Health) {
     metrics_.health.add();
@@ -206,12 +211,11 @@ bool AssessmentService::admit(const std::string& request_text, Task& task,
   if (!refusal.empty()) {
     metrics_.overloaded.add();
     // The client correlates by response order; an admission refusal never
-    // parsed the request, so it carries no id.
+    // reads the request's fields, so it carries no id.
     answer = error_response("", refusal_code, refusal);
     return false;
   }
   task.seq = next_seq_++;
-  task.text = request_text;
   task.shed = options_.degrade_depth > 0 && in_flight_ >= options_.degrade_depth;
   task.admitted = std::chrono::steady_clock::now();
   ++in_flight_;
@@ -251,6 +255,7 @@ std::string AssessmentService::run(const Task& task) {
   }
   RequestTrace trace;
   trace.seq = task.seq;
+  trace.parse_ns = task.parse_ns;
   trace.queue_wait_ns = ns_since(task.admitted);
   Outcome outcome = process(task, &trace);
   // Commit BEFORE the response is returned: once a client can observe it,
@@ -270,7 +275,7 @@ std::string AssessmentService::run(const Task& task) {
   trace.ok = outcome.ok;
   trace.degraded = outcome.degraded;
   trace.error = outcome.error;
-  trace.total_ns = ns_since(task.admitted);
+  trace.total_ns = ns_since(task.received);
   finish_trace(trace);
   // Release the slot and settle the counters before returning: a caller
   // that sees the response observes its slot free (the replay
@@ -420,13 +425,15 @@ AssessmentService::Outcome AssessmentService::process(const Task& task,
     return out;
   };
   try {
-    const auto parse_start = std::chrono::steady_clock::now();
+    const auto read_start = std::chrono::steady_clock::now();
     if (options_.faults.fires(task.seq, FaultKind::Parse)) {
       throw PreconditionError("serve request: injected parse fault",
                               ErrorCode::Parse);
     }
-    const AssessmentRequest request = parse_request(task.text);
-    if (trace != nullptr) trace->parse_ns = ns_since(parse_start);
+    // Throws the parse error admission captured, or reads the tape; the
+    // parse stage is the tape parse plus this read.
+    const AssessmentRequest request = parse_request(task.request);
+    if (trace != nullptr) trace->parse_ns += ns_since(read_start);
     id = request.id;
     return run_assessment(task, request, trace);
   } catch (const PreconditionError& e) {

@@ -152,9 +152,11 @@ class AssessmentService {
  private:
   struct Task {
     std::uint64_t seq = 0;
-    std::string text;
+    RequestDocument request;  // the request text, parsed once
     bool shed = false;  // admission decided to shed optional stages
-    std::chrono::steady_clock::time_point admitted;
+    std::chrono::steady_clock::time_point received;  // parse start: the trace's total
+    std::chrono::steady_clock::time_point admitted;  // the deadline clock's start
+    std::uint64_t parse_ns = 0;  // the tape parse, before admission
   };
   struct Outcome {
     std::string body;

@@ -44,7 +44,7 @@ struct RequestTrace {
   std::uint64_t evaluate_ns = 0;    // pipeline evaluate + optional stages
   std::uint64_t serialize_ns = 0;
   std::uint64_t journal_append_ns = 0;  // commit record append
-  std::uint64_t total_ns = 0;           // admission to response settled
+  std::uint64_t total_ns = 0;           // parse start to response settled
   CacheOutcome cache = CacheOutcome::None;
   bool ok = false;
   bool degraded = false;

@@ -311,7 +311,11 @@ TEST(KitJson, NegativeQPeakIsATypoNotLossless) {
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, needle.size(),
                "{\"q_peak\": -60, \"f_peak\": 1000000000, \"slope\": 0}");
-  expect_rejects([&] { parse_kit_json(json); }, {"q_peak"});
+  // The whole message: the loader's scope names the object, and the field
+  // name is joined only for the message.
+  expect_rejects([&] { parse_kit_json(json); },
+                 {"kit 'kit.passives.precision_cap.quality': q_peak must be >= 0 "
+                  "(0 = lossless)"});
 }
 
 TEST(KitJson, OverflowingNumbersAreRejected) {

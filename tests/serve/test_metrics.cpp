@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "kits/kit_json.hpp"
+#include "kits/registry.hpp"
 #include "serve/journal.hpp"
 #include "serve/replay.hpp"
 #include "serve/service.hpp"
@@ -118,6 +120,39 @@ TEST(MetricsService, TracesRecordStagesAndCacheOutcomes) {
   EXPECT_EQ(traces[2].cache, CacheOutcome::None);
   EXPECT_FALSE(traces[2].ok);
   EXPECT_EQ(traces[2].error, ErrorCode::Parse);
+}
+
+// One parse per request, recorded once.  Every inline kit carries a "kind"
+// key (substrate.kind), which once cost a second, unrecorded parse in the
+// probe check; now N served inline-kit requests record exactly N parse
+// samples, probes record none, and each trace's total covers its parse.
+TEST(MetricsService, EachServedRequestRecordsExactlyOneParse) {
+  AssessmentService service;
+  const metrics::Histogram& parse = service.metrics().parse_ns;
+  const std::string kit =
+      kits::kit_json(kits::builtin_kit_registry().at(kits::kLtccKit));
+  constexpr std::uint64_t kRequests = 5;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const std::string response = service.handle(
+        "{\"id\": \"i" + std::to_string(i) + "\", \"kit\": " + kit + "}");
+    EXPECT_NE(response.find("\"status\": \"ok\""), std::string::npos) << response;
+  }
+  EXPECT_EQ(parse.count(), kRequests);
+  EXPECT_EQ(service.metrics().total_ns.count(), kRequests);
+  EXPECT_GT(parse.sum_ns(), 0U);
+
+  service.handle(R"({"kind": "health"})");
+  service.handle(R"({"kind": "stats"})");
+  EXPECT_EQ(parse.count(), kRequests);  // probes are parsed, never recorded
+
+  // A malformed request is served an error, and its parse is recorded too.
+  const std::string refused = service.handle(R"({"id": "m", "kit": {"kind": )");
+  EXPECT_NE(refused.find("\"code\": \"parse\""), std::string::npos) << refused;
+  EXPECT_EQ(parse.count(), kRequests + 1);
+  for (const RequestTrace& t : service.traces().snapshot()) {
+    EXPECT_GT(t.parse_ns, 0U) << "seq " << t.seq;
+    EXPECT_GE(t.total_ns, t.parse_ns) << "seq " << t.seq;
+  }
 }
 
 TEST(MetricsService, SlowRequestThresholdZeroLogsEveryRequest) {

@@ -14,6 +14,15 @@
 namespace ipass::serve {
 namespace {
 
+// The service's two steps in one: the text's one parse, then the reader.
+AssessmentRequest parse_request(const std::string& text) {
+  return serve::parse_request(parse_request_document(text));
+}
+
+ProbeKind probe_of(const std::string& text) {
+  return probe_kind(parse_request_document(text));
+}
+
 // Returns the taxonomy code parse_request rejects `text` with.
 ErrorCode rejection_code(const std::string& text, const char* needle = nullptr) {
   try {
@@ -146,14 +155,17 @@ TEST(ServeProtocol, InlineKitKeyIsCanonical) {
 
 TEST(ServeProtocol, KindFieldGatesHealthFromAssess) {
   // Detection: a real probe, with or without extra whitespace.
-  EXPECT_TRUE(is_health_request(R"({"kind": "health"})"));
-  EXPECT_TRUE(is_health_request(R"(  { "kind" : "health" }  )"));
+  EXPECT_EQ(probe_of(R"({"kind": "health"})"), ProbeKind::Health);
+  EXPECT_EQ(probe_of(R"(  { "kind" : "health" }  )"), ProbeKind::Health);
   // Non-objects, other kinds, or "kind" merely as a substring are not.
-  EXPECT_FALSE(is_health_request(R"({"kind": "assess", "id": "x"})"));
-  EXPECT_FALSE(is_health_request(R"(["kind", "health"])"));
-  EXPECT_FALSE(is_health_request(R"({"id": "x", "note": "\"kind\": \"health\""})"));
-  EXPECT_FALSE(is_health_request("not json \"kind\""));
-  EXPECT_FALSE(is_health_request(R"({"id": "x", "kit_name": "pcb-fr4"})"));
+  EXPECT_EQ(probe_of(R"({"kind": "assess", "id": "x"})"), ProbeKind::None);
+  EXPECT_EQ(probe_of(R"(["kind", "health"])"), ProbeKind::None);
+  EXPECT_EQ(probe_of(R"({"id": "x", "note": "\"kind\": \"health\""})"), ProbeKind::None);
+  EXPECT_EQ(probe_of("not json \"kind\""), ProbeKind::None);
+  EXPECT_EQ(probe_of(R"({"id": "x", "kit_name": "pcb-fr4"})"), ProbeKind::None);
+  // Only the top-level "kind" counts: an inline kit's substrate.kind does
+  // not make a request a probe.
+  EXPECT_EQ(probe_of(R"({"id": "x", "kit": {"kind": "health"}})"), ProbeKind::None);
 
   // parse_request accepts an explicit assess kind and rejects the rest.
   const AssessmentRequest req =
@@ -172,13 +184,14 @@ TEST(ServeProtocol, KindFieldGatesHealthFromAssess) {
 
 TEST(ServeProtocol, KindFieldGatesStatsFromAssess) {
   // Stats probes classify exactly like health probes.
-  EXPECT_EQ(probe_kind(R"({"kind": "stats"})"), ProbeKind::Stats);
-  EXPECT_EQ(probe_kind(R"(  { "kind" : "stats" }  )"), ProbeKind::Stats);
-  EXPECT_EQ(probe_kind(R"({"kind": "health"})"), ProbeKind::Health);
-  EXPECT_EQ(probe_kind(R"({"kind": "assess", "id": "x"})"), ProbeKind::None);
-  EXPECT_EQ(probe_kind(R"({"id": "x", "kit_name": "pcb-fr4"})"), ProbeKind::None);
-  EXPECT_TRUE(is_stats_request(R"({"kind": "stats"})"));
-  EXPECT_FALSE(is_stats_request(R"({"kind": "health"})"));
+  EXPECT_EQ(probe_of(R"({"kind": "stats"})"), ProbeKind::Stats);
+  EXPECT_EQ(probe_of(R"(  { "kind" : "stats" }  )"), ProbeKind::Stats);
+  EXPECT_EQ(probe_of(R"({"kind": "health"})"), ProbeKind::Health);
+  EXPECT_EQ(probe_of(R"({"kind": "assess", "id": "x"})"), ProbeKind::None);
+  EXPECT_EQ(probe_of(R"({"id": "x", "kit_name": "pcb-fr4"})"), ProbeKind::None);
+  EXPECT_EQ(probe_of(R"({"kind": "stats", "id": "x"})"), ProbeKind::Stats);
+  EXPECT_EQ(probe_of(R"({"kind": "stats")"), ProbeKind::None);  // malformed
+  EXPECT_EQ(probe_of(R"({"kind": 1})"), ProbeKind::None);
 
   // The kind gate refuses sequenced probes with Validation: a probe that
   // consumed a sequence number would shift every later response, so it must
