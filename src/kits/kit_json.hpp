@@ -8,6 +8,12 @@
 // machine reproduces the same assessment everywhere.  The loader validates on the
 // way in (validate_kit): out-of-range yields, negative costs and duplicate
 // kit names are rejected with messages naming the kit and field.
+//
+// The format is described once, in kit_json.cpp: one fields() function per
+// object (registry, kit, substrate, passives, ..., die) lists its keys in
+// document order, and one token table per enum lists its tokens.  The
+// writer and the reader both walk those lists, so a new field is added
+// there, once, and is then written and read alike.
 #pragma once
 
 #include <string>

@@ -8,16 +8,6 @@
 
 namespace ipass::kits {
 
-const char* kit_maturity_name(KitMaturity maturity) {
-  switch (maturity) {
-    case KitMaturity::Experimental: return "experimental";
-    case KitMaturity::Pilot: return "pilot";
-    case KitMaturity::Production: return "production";
-    case KitMaturity::Mature: return "mature";
-  }
-  return "?";
-}
-
 namespace {
 
 // The shared check vocabulary (kits/kit_checks.hpp): one message shape,

@@ -26,6 +26,7 @@ namespace ipass::kits {
 // fleet reports; corner scalings carry the quantitative part.
 enum class KitMaturity { Experimental, Pilot, Production, Mature };
 
+// Its token in kit documents (kit_json.cpp holds the one token table).
 const char* kit_maturity_name(KitMaturity maturity);
 
 // The integrated-passive processes a kit ships: the carrier-specific slice

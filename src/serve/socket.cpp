@@ -56,13 +56,21 @@ namespace {
 // of a peer that already hung up to release its slot.
 constexpr std::chrono::milliseconds kReleaseWait{200};
 
-// True when the peer of some connection in `fds` already hung up: its
-// handler holds the slot only until it reads the EOF.
-bool any_peer_gone(const std::vector<int>& fds) {
+// How long the accept loop looks, at the connection cap, for a peer's
+// hang-up to show.  A client that closes and at once reconnects can have
+// its new connection accepted before the kernel has processed the old
+// one's FIN (on loopback under load, the hang-up showed about 1 ms late);
+// this is also how much later a refusal goes out when live peers hold
+// every slot.
+constexpr int kHangupGraceMs = 5;
+
+// True when the peer of some connection in `fds` hung up, or does within
+// `timeout_ms`: its handler holds the slot only until it reads the EOF.
+bool any_peer_gone(const std::vector<int>& fds, int timeout_ms) {
   std::vector<pollfd> polls;
   polls.reserve(fds.size());
   for (const int fd : fds) polls.push_back({fd, POLLRDHUP, 0});
-  if (::poll(polls.data(), polls.size(), 0) <= 0) return false;
+  if (::poll(polls.data(), polls.size(), timeout_ms) <= 0) return false;
   return std::any_of(polls.begin(), polls.end(), [](const pollfd& p) {
     return (p.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
   });
@@ -224,10 +232,11 @@ void SocketServer::run() {
     if (conn_fds_.size() >= options_.max_connections) {
       // A slot whose peer already hung up is released as soon as its
       // handler reads the EOF: wait for that rather than refuse a live
-      // client on account of connections that are already gone.
+      // client on account of connections that are already gone.  The
+      // handlers deregister under this lock, so the polled fds stay valid.
       const auto give_up = std::chrono::steady_clock::now() + kReleaseWait;
       while (conn_fds_.size() >= options_.max_connections &&
-             any_peer_gone(conn_fds_) &&
+             any_peer_gone(conn_fds_, kHangupGraceMs) &&
              released_cv_.wait_until(lk, give_up) != std::cv_status::timeout) {
       }
     }

@@ -147,17 +147,27 @@ class Differential {
     compare("json", input, run([&] { return tree_text(parse_json(input, "doc")); }),
             run([&] { return tree_text(oracle::parse_json(input, "doc")); }));
     switch (target) {
-      case Target::Kit:
-        compare("kit", input, run([&] { return kits::kit_json(kits::parse_kit_json(input)); }),
+      case Target::Kit: {
+        const auto rewrite = [](const std::string& text) {
+          return kits::kit_json(kits::parse_kit_json(text));
+        };
+        const Outcome got = run([&] { return rewrite(input); });
+        compare("kit", input, got,
                 run([&] { return kits::kit_json(kits::oracle::parse_kit_json(input)); }));
+        fixed_point("kit", got, rewrite);
         break;
-      case Target::Registry:
-        compare("registry", input,
-                run([&] { return kits::registry_json(kits::parse_registry_json(input)); }),
-                run([&] {
+      }
+      case Target::Registry: {
+        const auto rewrite = [](const std::string& text) {
+          return kits::registry_json(kits::parse_registry_json(text));
+        };
+        const Outcome got = run([&] { return rewrite(input); });
+        compare("registry", input, got, run([&] {
                   return kits::registry_json(kits::oracle::parse_registry_json(input));
                 }));
+        fixed_point("registry", got, rewrite);
         break;
+      }
       case Target::Request:
         // The service's path: one parse, its error carried to the reader.
         compare("request", input, run([&] {
@@ -172,8 +182,25 @@ class Differential {
   std::size_t checked() const { return checked_; }
   std::size_t accepted() const { return accepted_; }
   std::size_t mismatches() const { return mismatches_; }
+  std::size_t fixed_point_checks() const { return fixed_point_checks_; }
+  std::size_t fixed_point_misses() const { return fixed_point_misses_; }
 
  private:
+  // The reader and the writer held to each other: the text written for an
+  // accepted input reads back to a value that is written byte for byte the
+  // same, i.e. write(read(write(x))) == write(x).
+  void fixed_point(const char* what, const Outcome& got,
+                   const std::function<std::string(const std::string&)>& rewrite) {
+    if (!got.accepted) return;
+    ++fixed_point_checks_;
+    const Outcome again = run([&] { return rewrite(got.text); });
+    if (again.accepted && again.text == got.text) return;
+    if (++fixed_point_misses_ <= 5) {
+      ADD_FAILURE() << what << " is not a fixed point of read and write: '"
+                    << got.text.substr(0, 300) << "'\n  reread: " << describe(again);
+    }
+  }
+
   void compare(const char* what, const std::string& input, const Outcome& got,
                const Outcome& want) {
     if (want.accepted) ++accepted_;
@@ -188,6 +215,8 @@ class Differential {
   std::size_t checked_ = 0;
   std::size_t accepted_ = 0;  // counted per compared target
   std::size_t mismatches_ = 0;
+  std::size_t fixed_point_checks_ = 0;
+  std::size_t fixed_point_misses_ = 0;
 };
 
 // Number and escape spellings where std::from_chars and strtod, or the
@@ -341,6 +370,11 @@ TEST(JsonDifferential, MutantsAgreeWithTheOracle) {
     }
   }
   EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked() << " mutants";
+  // Every accepted kit and registry mutant is also a fixed point of read and
+  // write (some must be accepted for that to mean anything).
+  EXPECT_GT(diff.fixed_point_checks(), 0u);
+  EXPECT_EQ(diff.fixed_point_misses(), 0u)
+      << "of " << diff.fixed_point_checks() << " accepted kit and registry mutants";
   // The mutants must exercise the accept path too, not only rejections.
   EXPECT_GT(diff.accepted(), diff.checked() / 20);
 }
