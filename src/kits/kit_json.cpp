@@ -1,5 +1,6 @@
 #include "kits/kit_json.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <type_traits>
 #include <utility>
@@ -24,7 +25,7 @@ constexpr const char* kContext = "kit JSON";
 
 template <class E, std::size_t N>
 struct Tokens {
-  const char* what;  // names the enum in the reader's error message
+  const char* unknown;  // the reader's error message, before the token
   std::pair<E, const char*> list[N];
 
   const char* token(E value) const {
@@ -37,8 +38,7 @@ struct Tokens {
     for (const auto& [v, text] : list) {
       if (token == text) return v;
     }
-    throw PreconditionError(
-        strf("kit JSON: unknown %s '%s'", what, std::string(token).c_str()));
+    throw PreconditionError(strf("kit JSON: %s '%s'", unknown, std::string(token).c_str()));
   }
 };
 
@@ -50,28 +50,29 @@ using tech::PartsGrade;
 using tech::SubstrateKind;
 
 const Tokens<KitMaturity, 4> kMaturity = {
-    "maturity",
+    "unknown maturity",
     {{KitMaturity::Experimental, "experimental"}, {KitMaturity::Pilot, "pilot"},
      {KitMaturity::Production, "production"}, {KitMaturity::Mature, "mature"}}};
 const Tokens<SubstrateKind, 6> kKind = {
-    "substrate kind",
+    "unknown substrate kind",
     {{SubstrateKind::Pcb, "pcb"}, {SubstrateKind::McmD, "mcm-d"},
      {SubstrateKind::McmDIp, "mcm-d-ip"}, {SubstrateKind::Ltcc, "ltcc"},
      {SubstrateKind::OrganicEp, "organic-ep"}, {SubstrateKind::SiInterposer, "si-interposer"}}};
 const Tokens<PassivePolicy, 3> kPolicy = {
-    "passive policy",
+    "unknown passive policy",
     {{PassivePolicy::AllSmd, "all-smd"}, {PassivePolicy::AllIntegrated, "all-integrated"},
      {PassivePolicy::Optimized, "optimized"}}};
 const Tokens<DieAttach, 3> kAttach = {
-    "die attach",
+    "unknown die attach",
     {{DieAttach::PackagedSmt, "packaged-smt"}, {DieAttach::WireBond, "wire-bond"},
      {DieAttach::FlipChip, "flip-chip"}}};
 const Tokens<PartsGrade, 2> kGrade = {
-    "parts grade", {{PartsGrade::PcbLine, "pcb-line"}, {PartsGrade::McmLine, "mcm-line"}}};
+    "unknown parts grade", {{PartsGrade::PcbLine, "pcb-line"}, {PartsGrade::McmLine, "mcm-line"}}};
 const Tokens<Dielectric, 2> kDielectric = {
-    "dielectric", {{Dielectric::SiliconNitride, "si3n4"}, {Dielectric::BariumTitanate, "batio"}}};
+    "unknown dielectric",
+    {{Dielectric::SiliconNitride, "si3n4"}, {Dielectric::BariumTitanate, "batio"}}};
 const Tokens<YieldSemantics, 2> kSemantics = {
-    "yield semantics",
+    "unknown yield semantics",
     {{YieldSemantics::PerStep, "per-step"}, {YieldSemantics::PerJoint, "per-joint"}}};
 
 // ----------------------------------------------------------- the document
@@ -245,8 +246,7 @@ struct Writer {
   void token(const char* k, E v, const Tokens<E, N>& tokens) {
     key(k).append("\"").append(tokens.token(v)).append("\"");
   }
-  template <class T>
-  void obj(const char* k, const T& v, Layout layout = {}) {
+  template <class T> void obj(const char* k, const T& v, Layout layout = {}) {
     object(key(k), v, layout);
   }
   template <class T>
@@ -260,8 +260,7 @@ struct Writer {
   }
   // Optional fields are always written.
   void optional(const char* k, double v, double /*fallback*/) { num(k, v); }
-  template <class T>
-  void optional(const char* k, const std::vector<T>& v) { array(k, v); }
+  template <class T> void optional(const char* k, const std::vector<T>& v) { array(k, v); }
 
   // The registry's kits: whole kit documents, each on lines of its own.
   void kits(const char* k, const KitRegistry& registry) {
@@ -273,15 +272,18 @@ struct Writer {
     out_ += ']';
   }
 
-  // Appends the separator before a field and its key.
-  std::string& key(const char* k) {
-    if (layout_.indent > 0) {
-      out_.append(written_ ? ",\n" : "\n").append(layout_.indent, ' ');
-    } else if (written_) {
-      out_ += ", ";
-    }
-    ++written_;
-    return out_.append("\"").append(k).append("\": ");
+  // Appends the separator before a field and its key, growing `out_` once:
+  // the served study cache key writes a whole kit per inline-kit request.
+  std::string& key(std::string_view k) {
+    std::string_view sep = layout_.indent > 0 ? ",\n" : ", ";
+    if (written_++ == 0) sep.remove_prefix(layout_.indent > 0 ? 1 : 2);
+    const std::size_t at = out_.size();
+    out_.resize(at + sep.size() + layout_.indent + k.size() + 4);
+    char* p = std::copy(sep.begin(), sep.end(), out_.data() + at);
+    p = std::fill_n(p, layout_.indent, ' ');
+    *p++ = '"';
+    std::copy_n("\": ", 3, std::copy(k.begin(), k.end(), p));
+    return out_;
   }
 
   std::string& out_;
@@ -320,23 +322,17 @@ struct Reader {
   void token(const char* k, E& v, const Tokens<E, N>& tokens) {
     v = tokens.value(r_.get(k, JsonType::String).string());
   }
-  template <class T>
-  void obj(const char* k, T& v, Layout = {}) {
-    object(r_.obj(k), v);
-  }
-  template <class T>
-  void array(const char* k, std::vector<T>& v, Layout = {}) {
+  template <class T> void obj(const char* k, T& v, Layout = {}) { object(r_.obj(k), v); }
+  template <class T> void array(const char* k, std::vector<T>& v, Layout = {}) {
     elements(r_.arr(k), k, v);
   }
   void optional(const char* k, double& v, double fallback) { v = r_.num_or(k, fallback); }
-  template <class T>
-  void optional(const char* k, std::vector<T>& v) {
+  template <class T> void optional(const char* k, std::vector<T>& v) {
     if (const JsonRef a = r_.find(k, JsonType::Array)) elements(a, k, v);
   }
 
   // The registry's own keys are checked first; then each kit is read as a
-  // document of its own (scope "kit") and added — re-validated, duplicate
-  // names rejected — before the next one is read.
+  // document of its own (scope "kit") and added before the next is read.
   void kits(const char* k, KitRegistry& registry) {
     const JsonRef kits = r_.arr(k);
     r_.done();
