@@ -1,7 +1,7 @@
 // The one JSON writer of the library.  Every JSON document ipass emits —
-// served responses and errors, the study cache key's canonical kit text,
-// kits::kit_json, core::export decision reports and the golden files — is
-// built by appending to a caller's std::string with these two functions.
+// served responses and errors, kits::kit_json, core::export decision
+// reports and the golden files — is built by appending to a caller's
+// std::string with these two functions.
 //
 // Numbers print with std::to_chars(general, 17), whose output is
 // byte-identical to the %.17g scheme the golden files were written in

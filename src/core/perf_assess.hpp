@@ -46,14 +46,15 @@ FilterPerformance assess_filter(const FilterSpec& spec, FilterStyle style,
 PerformanceResult assess_performance(const FunctionalBom& bom, const BuildUp& buildup,
                                      const TechKits& kits);
 
-// Canonical text of exactly what assess_performance(bom, buildup, kits)
+// Canonical bytes of exactly what assess_performance(bom, buildup, kits)
 // reads, so equal keys mean bit-identical results (a cache of performance
 // rows keys on it).  It holds the BOM's name, which stands in for the
 // filter specs (a caller keys one BOM content per name), and the build-up's
-// passive policy.  When some filter is realized in an integrated style, it
-// also holds the precision-capacitor Q model and every spiral-inductor
-// field; a BOM realized wholly as catalog SMD blocks reads no kit field, so
-// its key leaves them out.  Cost, area, substrate and production inputs
+// passive policy, each as a quoted JSON string.  When some filter is
+// realized in an integrated style, it also holds the 8 bytes of each of the
+// 14 numbers of the precision-capacitor Q model and the spiral-inductor
+// process; a BOM realized wholly as catalog SMD blocks reads no kit field,
+// so its key leaves them out.  Cost, area, substrate and production inputs
 // never reach the MNA sweeps and never reach the key.
 std::string performance_key(const FunctionalBom& bom, const BuildUp& buildup,
                             const TechKits& kits);

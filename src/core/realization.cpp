@@ -1,6 +1,12 @@
 #include "core/realization.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <mutex>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/strfmt.hpp"
@@ -96,14 +102,100 @@ rf::LadderPrototype make_prototype(const FilterSpec& spec) {
   throw PreconditionError("make_prototype: unknown family");
 }
 
+// The lossless bandpass ladders of the last kLadderMemoCapacity filter
+// specs, process-wide.  A ladder depends on the spec alone, never on the
+// kit, so every study over one BOM shares its filters' ladders: only the
+// Q models and the areas a kit puts on them are recomputed.  Keyed on the
+// bits of the seven fields synthesis reads; the oldest entry goes first.
+// Synthesis runs outside the lock, and a spec that fails to synthesize is
+// not kept, so it throws again on the next call.
+class LadderMemo {
+ public:
+  using Ladder = std::shared_ptr<const rf::Circuit>;
+
+  Ladder get(const FilterSpec& spec) {
+    const Key key = key_of(spec);
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      if (const Ladder* hit = find(key)) return *hit;
+    }
+    Ladder ladder = std::make_shared<const rf::Circuit>(
+        rf::realize_bandpass(make_prototype(spec), spec.f0_hz, spec.bw_hz, spec.z0));
+    const std::lock_guard<std::mutex> lock(m_);
+    if (const Ladder* raced = find(key)) return *raced;
+    if (entries_.size() < kLadderMemoCapacity) {
+      entries_.push_back({key, ladder});
+    } else {
+      entries_[oldest_] = {key, ladder};
+      oldest_ = (oldest_ + 1) % kLadderMemoCapacity;
+    }
+    return ladder;
+  }
+
+ private:
+  using Key = std::array<std::uint64_t, 7>;
+
+  static std::uint64_t bits(double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  }
+  static Key key_of(const FilterSpec& s) {
+    return {static_cast<std::uint64_t>(s.family), static_cast<std::uint64_t>(s.order),
+            bits(s.ripple_db), bits(s.selectivity), bits(s.f0_hz), bits(s.bw_hz),
+            bits(s.z0)};
+  }
+  const Ladder* find(const Key& key) const {
+    for (const auto& [k, ladder] : entries_) {
+      if (k == key) return &ladder;
+    }
+    return nullptr;
+  }
+
+  std::mutex m_;
+  std::vector<std::pair<Key, Ladder>> entries_;
+  std::size_t oldest_ = 0;
+};
+
+std::shared_ptr<const rf::Circuit> lossless_ladder(const FilterSpec& spec) {
+  static LadderMemo memo;
+  return memo.get(spec);
+}
+
+// integrated_filter_area_mm2 on the filter's own ladder, which reads only
+// element kinds and values (so Q models never matter here).
+double integrated_area_mm2(const rf::Circuit& ladder, FilterStyle style,
+                           const TechKits& kits) {
+  double area = 0.0;
+  int integrated_elements = 0;
+  for (const rf::Element& e : ladder.elements()) {
+    switch (e.kind) {
+      case rf::ElementKind::Inductor:
+        if (style == FilterStyle::Hybrid) continue;  // SMD part, counted separately
+        area += tech::design_spiral(kits.spiral, e.value).area_mm2;
+        ++integrated_elements;
+        break;
+      case rf::ElementKind::Capacitor:
+        area += tech::capacitor_area_mm2(kits.precision_cap, e.value);
+        ++integrated_elements;
+        break;
+      case rf::ElementKind::Resistor:
+        area += tech::resistor_area_mm2(kits.resistor_process, e.value);
+        ++integrated_elements;
+        break;
+    }
+  }
+  area += kits.integrated_filter_spacing_mm2 * integrated_elements;
+  return area * kits.integrated_filter_overhead;
+}
+
 }  // namespace
 
 rf::Circuit synthesize_filter(const FilterSpec& spec, FilterStyle style,
                               const TechKits& kits) {
   require(style != FilterStyle::SmdBlock,
           "synthesize_filter: SMD blocks are catalog parts, not synthesized");
-  const rf::LadderPrototype proto = make_prototype(spec);
-  rf::Circuit ckt = rf::realize_bandpass(proto, spec.f0_hz, spec.bw_hz, spec.z0);
+  rf::Circuit ckt = *lossless_ladder(spec);
 
   // Assign per-element quality models.
   const rf::QModel cap_q = kits.precision_cap.quality;
@@ -131,28 +223,7 @@ double integrated_filter_area_mm2(const FilterSpec& spec, FilterStyle style,
                                   const TechKits& kits) {
   require(style != FilterStyle::SmdBlock,
           "integrated_filter_area_mm2: SMD blocks use their catalog footprint");
-  const rf::Circuit ckt = synthesize_filter(spec, style, kits);
-  double area = 0.0;
-  int integrated_elements = 0;
-  for (const rf::Element& e : ckt.elements()) {
-    switch (e.kind) {
-      case rf::ElementKind::Inductor:
-        if (style == FilterStyle::Hybrid) continue;  // SMD part, counted separately
-        area += tech::design_spiral(kits.spiral, e.value).area_mm2;
-        ++integrated_elements;
-        break;
-      case rf::ElementKind::Capacitor:
-        area += tech::capacitor_area_mm2(kits.precision_cap, e.value);
-        ++integrated_elements;
-        break;
-      case rf::ElementKind::Resistor:
-        area += tech::resistor_area_mm2(kits.resistor_process, e.value);
-        ++integrated_elements;
-        break;
-    }
-  }
-  area += kits.integrated_filter_spacing_mm2 * integrated_elements;
-  return area * kits.integrated_filter_overhead;
+  return integrated_area_mm2(*lossless_ladder(spec), style, kits);
 }
 
 namespace {
@@ -194,14 +265,14 @@ void realize_filters(const FunctionalBom& bom, const BuildUp& buildup, const Tec
         ip.name = f.name + " (IP portion)";
         ip.mount = Mount::Integrated;
         ip.area_category = layout::AreaCategory::Filters;
-        ip.area_mm2 = integrated_filter_area_mm2(f, FilterStyle::Hybrid, kits);
+        const std::shared_ptr<const rf::Circuit> ladder = lossless_ladder(f);
+        ip.area_mm2 = integrated_area_mm2(*ladder, FilterStyle::Hybrid, kits);
         ip.count = f.count;
         // SMD inductors; the case size follows the largest value in the
         // filter (VHF resonators need 1206 bodies).
-        const rf::Circuit ckt = synthesize_filter(f, FilterStyle::Hybrid, kits);
-        const int inductors = rf::count_elements(ckt).inductors;
+        const int inductors = rf::count_elements(*ladder).inductors;
         double max_l = 0.0;
-        for (const rf::Element& e : ckt.elements()) {
+        for (const rf::Element& e : ladder->elements()) {
           if (e.kind == rf::ElementKind::Inductor) max_l = std::max(max_l, e.value);
         }
         const tech::SmdCase l_case = tech::inductor_case_for(max_l);

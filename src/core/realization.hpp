@@ -5,6 +5,7 @@
 // SMD component is preferred".
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -71,14 +72,24 @@ struct RealizedBom {
 // Decide the realization style of a filter under a policy.
 FilterStyle filter_style_for(const FilterSpec& spec, PassivePolicy policy);
 
+// How many filter specs' lossless ladders the process keeps.  A filter's
+// ladder (rf::realize_bandpass of its prototype) depends on its spec alone
+// — family, order, ripple, selectivity, f0, bandwidth and z0 — never on the
+// kit, so it is synthesized once per spec and shared by every kit, style
+// and thread; past this many specs the oldest is synthesized again when
+// next asked for.  Results are bit-identical either way.
+inline constexpr std::size_t kLadderMemoCapacity = 32;
+
 // Synthesize the electrical circuit of a filter in the given style, with
 // technology-appropriate Q on every element (SMD block style is not
-// synthesizable and is rejected).
+// synthesizable and is rejected): a copy of the spec's lossless ladder
+// with the kit's Q models assigned.
 rf::Circuit synthesize_filter(const FilterSpec& spec, FilterStyle style,
                               const TechKits& kits);
 
 // Substrate area of one integrated or hybrid filter (integrated part only
 // for hybrid; the SMD inductors are accounted as separate instances).
+// Reads the spec's lossless ladder in place.
 double integrated_filter_area_mm2(const FilterSpec& spec, FilterStyle style,
                                   const TechKits& kits);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -272,8 +273,7 @@ struct Writer {
     out_ += ']';
   }
 
-  // Appends the separator before a field and its key, growing `out_` once:
-  // the served study cache key writes a whole kit per inline-kit request.
+  // Appends the separator before a field and its key, growing `out_` once.
   std::string& key(std::string_view k) {
     std::string_view sep = layout_.indent > 0 ? ",\n" : ", ";
     if (written_++ == 0) sep.remove_prefix(layout_.indent > 0 ? 1 : 2);
@@ -291,9 +291,62 @@ struct Writer {
   std::size_t written_ = 0;
 };
 
+// ------------------------------------------------------------ key bytes
+
+// Appends `v`'s object representation: fixed-width, so one field's bytes
+// never run into the next one's.
+template <class T>
+void append_raw(std::string& out, T v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  char bytes[sizeof v];
+  std::memcpy(bytes, &v, sizeof v);
+  out.append(bytes, sizeof v);
+}
+
+// The kit as bytes rather than text: each double's bits, each string and
+// array after its length, each enum as its underlying value.  Two kits get
+// the same bytes exactly when the Writer gives them the same text, since
+// %.17g tells every finite double apart (-0 from 0 too).  The Writer's
+// non-finite refusal is kept.
+struct KeyWriter {
+  static constexpr bool kWrites = true;
+
+  template <class T>
+  static void object(std::string& out, const T& v) {
+    KeyWriter w{out};
+    fields(w, v);
+  }
+  static void object(std::string& out, const rf::QModel& q) {
+    object(out, QFields{q.q_peak(), q.f_peak(), q.slope()});
+  }
+
+  void num(const char*, double v) {
+    require(std::isfinite(v), "kit JSON: non-finite number cannot be serialized");
+    append_raw(out_, v);
+  }
+  void str(const char*, const std::string& s) {
+    append_raw(out_, s.size());
+    out_ += s;
+  }
+  void boolean(const char*, bool b) { out_ += b ? '\1' : '\0'; }
+  template <class E, std::size_t N>
+  void token(const char*, E v, const Tokens<E, N>&) {
+    append_raw(out_, static_cast<std::underlying_type_t<E>>(v));
+  }
+  template <class T> void obj(const char*, const T& v, Layout = {}) { object(out_, v); }
+  template <class T> void array(const char*, const std::vector<T>& v, Layout = {}) {
+    append_raw(out_, v.size());
+    for (const T& e : v) object(out_, e);
+  }
+  void optional(const char* k, double v, double /*fallback*/) { num(k, v); }
+  template <class T> void optional(const char* k, const std::vector<T>& v) { array(k, v); }
+
+  std::string& out_;
+};
+
 // --------------------------------------------------------------- reading
 
-ProcessKit read_kit(JsonRef v);
+ProcessKit read_kit_fields(JsonRef v);
 
 struct Reader {
   static constexpr bool kWrites = false;
@@ -333,10 +386,11 @@ struct Reader {
 
   // The registry's own keys are checked first; then each kit is read as a
   // document of its own (scope "kit") and added before the next is read.
+  // KitRegistry::add validates it.
   void kits(const char* k, KitRegistry& registry) {
     const JsonRef kits = r_.arr(k);
     r_.done();
-    for (const JsonRef kit : kits) registry.add(read_kit(kit));
+    for (const JsonRef kit : kits) registry.add(read_kit_fields(kit));
   }
 
   template <class T>
@@ -349,9 +403,14 @@ struct Reader {
   ObjectReader& r_;
 };
 
-ProcessKit read_kit(JsonRef v) {
+ProcessKit read_kit_fields(JsonRef v) {
   ProcessKit kit;
   Reader::object(ObjectReader(v, "kit", kContext), kit);
+  return kit;
+}
+
+ProcessKit read_kit(JsonRef v) {
+  ProcessKit kit = read_kit_fields(v);
   validate_kit(kit);
   return kit;
 }
@@ -364,6 +423,8 @@ void append_kit_json(std::string& out, const ProcessKit& kit) {
   Writer::object(out, kit, Layout{4, 0});
   out += '\n';
 }
+
+void append_kit_key(std::string& out, const ProcessKit& kit) { KeyWriter::object(out, kit); }
 
 std::string kit_json(const ProcessKit& kit) {
   std::string out;

@@ -12,8 +12,9 @@
 // The format is described once, in kit_json.cpp: one fields() function per
 // object (registry, kit, substrate, passives, ..., die) lists its keys in
 // document order, and one token table per enum lists its tokens.  The
-// writer and the reader both walk those lists, so a new field is added
-// there, once, and is then written and read alike.
+// writer, the reader and the cache-key writer all walk those lists, so a
+// new field is added there, once, and is then written, read and keyed
+// alike.
 #pragma once
 
 #include <string>
@@ -23,10 +24,20 @@
 
 namespace ipass::kits {
 
-// One kit as a JSON object, appended to `out` (the study cache key embeds
-// this exact text).  Throws PreconditionError on a non-finite number; `out`
-// then holds a partial document.
+// One kit as a JSON object, appended to `out`.  Throws PreconditionError
+// on a non-finite number; `out` then holds a partial document.
 void append_kit_json(std::string& out, const ProcessKit& kit);
+
+// The same fields as bytes, for a cache key (the served study cache key
+// embeds them): each double's 8 bytes, each string and array after its
+// length, each enum as its underlying value, in the order kit_json writes
+// them.  Two kits get equal bytes exactly when kit_json gives them equal
+// text (bar enum values outside their token tables, which no document
+// can produce and only the bytes tell apart), and the bytes cost a
+// fraction of the text to write.  Throws like
+// append_kit_json on a non-finite number.  Not a file format: the bytes
+// follow the host's endianness and the fields' in-memory widths.
+void append_kit_key(std::string& out, const ProcessKit& kit);
 
 // The same as a string of its own.
 std::string kit_json(const ProcessKit& kit);

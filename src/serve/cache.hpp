@@ -3,8 +3,9 @@
 //
 //   CompiledStudyCache (KeyedCache<core::CompiledStudy>)  — whole compiled
 //     studies, keyed by study_cache_key: the whole request minus its
-//     per-request evaluation state.  Counters serve_cache_*_total, also
-//     read by the stats and health probes.
+//     per-request evaluation state, an inline kit as its field bytes
+//     (kits::append_kit_key).  Counters serve_cache_*_total, also read by
+//     the stats and health probes.
 //   PerformanceCache (KeyedCache<core::PerformanceResult>) — one build-up's
 //     MNA performance rows, keyed by core::performance_key: exactly what
 //     assess_performance reads.  A study miss whose electrical kit is
@@ -12,6 +13,10 @@
 //     serve_perf_cache_*_total, in the metrics dump only.
 //
 // The service bounds both tiers by its one cache_capacity (--cache N).
+// Area is not cached here: it depends on every kit's filter overhead, so
+// rows would differ per inline variant.  What area reads that no kit
+// changes, each filter's lossless ladder, is synthesized once per process
+// (core::kLadderMemoCapacity in core/realization.hpp).
 //
 // Entries are shared_ptr<const T>: a request that resolved its entry keeps
 // using it safely even if the entry is evicted mid-flight (the artifact

@@ -123,7 +123,7 @@ AssessmentRequest parse_request(const RequestDocument& doc) {
 
 std::string study_cache_key(const AssessmentRequest& request) {
   std::string key;
-  key.reserve(request.has_inline_kit ? 4096 : 128);  // kit_json is ~3 KB
+  key.reserve(request.has_inline_kit ? 1280 : 128);  // a kit key is 0.6-1 KB
   key += "bom=";
   key += request.bom;
   key += ";reference=";
@@ -132,9 +132,10 @@ std::string study_cache_key(const AssessmentRequest& request) {
   key += request.scope == core::PipelineScope::Full ? "full" : "cost-only";
   key += ";kit=";
   if (request.has_inline_kit) {
-    // Canonical kit_json text: two inline documents that parse to the same
+    // The kit's field bytes: two inline documents that parse to the same
     // kit (whitespace, field order) share one compile artifact.
-    kits::append_kit_json(key, request.inline_kit);
+    key += "bits:";
+    kits::append_kit_key(key, request.inline_kit);
   } else {
     key += "name:";
     key += request.kit_name;

@@ -80,14 +80,15 @@ struct AssessmentRequest {
 // the envelope contract.
 AssessmentRequest parse_request(const RequestDocument& doc);
 
-// Identity of the compile artifact a request needs: the canonical kit_json
-// text of the kit (doubles in the %.17g format) plus reference/bom/scope.
+// Identity of the compile artifact a request needs: reference/bom/scope
+// plus the kit, as "kit=name:<registry name>" or, for an inline kit,
+// "kit=bits:" and its kits::append_kit_key bytes (each double's bits, so
+// two kits share a key exactly when their kit_json texts are equal).
 // Everything else in the request (weights, volume, deadline, stages) is
 // per-request evaluation state and deliberately NOT part of the key —
 // repeat traffic over the same study skips MNA/area compilation entirely.
-// The key is the exact canonical string (no lossy hashing): a collision
-// could silently serve the wrong study, and the cache is size-bounded
-// anyway.
+// The key is exact (no lossy hashing): a collision could silently serve
+// the wrong study, and the cache is size-bounded anyway.
 std::string study_cache_key(const AssessmentRequest& request);
 
 // One response line for a failed request.  `message` is escaped; `code`

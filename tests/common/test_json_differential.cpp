@@ -6,22 +6,31 @@
 // document and the committed request log.  Each seed is mutated by
 // Pcg32-driven bit flips, splices of seed bytes, truncations, depth bombs
 // around the 64-level cap, insertions of number and escape edge cases, and
-// keys respelled with escapes (in place, or duplicated).
+// keys respelled with escapes (in place, or duplicated).  Kit and registry
+// seeds also get value-only mutants, which mostly stay well-formed: a
+// number moved to its nextafter neighbour (0 to -0 and back), a number
+// respelled with the same value, an enum token swapped for another valid
+// one.
 // For every input both sides must agree: accepted or rejected, the same
 // ErrorCode, the same message byte for byte, and equal results (trees with
 // bit-equal numbers in the same key order; kits, registries and requests
-// compared through their canonical serializations).
+// compared through their canonical serializations).  An accepted value-only
+// mutant's cache key (kits::append_kit_key) must equal its seed's exactly
+// when their kit_json texts are equal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -323,6 +332,99 @@ class Mutator {
   Pcg32 rng_;
 };
 
+// Every enum's tokens in kit documents, one list per enum.
+const std::vector<std::vector<std::string>> kEnumTokens = {
+    {"experimental", "pilot", "production", "mature"},
+    {"pcb", "mcm-d", "mcm-d-ip", "ltcc", "organic-ep", "si-interposer"},
+    {"all-smd", "all-integrated", "optimized"},
+    {"packaged-smt", "wire-bond", "flip-chip"},
+    {"pcb-line", "mcm-line"},
+    {"si3n4", "batio"},
+    {"per-step", "per-joint"}};
+
+// Mutants that change one value and leave the document's shape alone, so
+// that many of them are accepted: a number moved one ulp (0 to -0 and
+// back), a number respelled with the same value, or an enum token
+// replaced by another token of its enum.
+class ValueMutator {
+ public:
+  explicit ValueMutator(std::uint64_t seed) : rng_(seed, 0x76616c7565ULL) {}
+
+  std::string mutate(std::string s) {
+    const std::size_t kind = below(3);
+    if (kind == 2) {
+      std::vector<std::pair<std::size_t, const std::vector<std::string>*>> enums;
+      for (const std::vector<std::string>& tokens : kEnumTokens) {
+        for (const std::string& token : tokens) {
+          const std::string value = "\": \"" + token + '"';
+          for (std::size_t at = s.find(value); at != std::string::npos;
+               at = s.find(value, at + 1)) {
+            enums.emplace_back(at + 4, &tokens);
+          }
+        }
+      }
+      if (!enums.empty()) {
+        const auto& [at, tokens] = enums[below(enums.size())];
+        const std::size_t len = s.find('"', at) - at;
+        std::string other = s.substr(at, len);
+        while (other == s.substr(at, len)) other = (*tokens)[below(tokens->size())];
+        return s.replace(at, len, other);
+      }
+    }
+    // A number: a value token after ':', '[' or ','.
+    std::vector<std::size_t> numbers;
+    for (std::size_t i = 1; i < s.size(); ++i) {
+      if (!std::strchr("-0123456789", s[i]) || std::strchr("-.0123456789eE+", s[i - 1])) continue;
+      const std::size_t prev = s.find_last_not_of(" \n\t\r", i - 1);
+      if (prev != std::string::npos && std::strchr(":[,", s[prev])) numbers.push_back(i);
+    }
+    if (numbers.empty()) return s;
+    const std::size_t at = numbers[below(numbers.size())];
+    const std::size_t len = s.find_first_not_of("-.0123456789eE+", at) - at;
+    const std::string token = s.substr(at, len);
+    if (kind == 1) {  // the same value, spelled otherwise
+      const std::size_t e = token.find_first_of("eE");
+      return e == std::string::npos ? s.insert(at + len, "e0")
+                                    : s.replace(at + e, 1, token[e] == 'e' ? "E" : "e");
+    }
+    const double v = std::strtod(token.c_str(), nullptr);
+    const double w = v == 0.0 ? -v : std::nextafter(v, below(2) == 0 ? -HUGE_VAL : HUGE_VAL);
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", w);
+    return s.replace(at, len, buf);
+  }
+
+ private:
+  std::size_t below(std::size_t n) { return n == 0 ? 0 : rng_.next_u32() % n; }
+
+  Pcg32 rng_;
+};
+
+// A kit or registry document as written back two ways: its kit_json (or
+// registry_json) text and its kits' append_kit_key bytes, one kit after
+// another.  Empty when the document is rejected.
+struct Written {
+  std::string json, key;
+};
+
+std::optional<Written> written(Target target, const std::string& text) {
+  Written w;
+  try {
+    if (target == Target::Kit) {
+      const kits::ProcessKit kit = kits::parse_kit_json(text);
+      w.json = kits::kit_json(kit);
+      kits::append_kit_key(w.key, kit);
+    } else {
+      const kits::KitRegistry registry = kits::parse_registry_json(text);
+      w.json = kits::registry_json(registry);
+      for (const kits::ProcessKit& kit : registry.kits()) kits::append_kit_key(w.key, kit);
+    }
+  } catch (const PreconditionError&) {
+    return std::nullopt;
+  }
+  return w;
+}
+
 struct Seed {
   Target target;
   std::string text;
@@ -369,6 +471,31 @@ TEST(JsonDifferential, MutantsAgreeWithTheOracle) {
       diff.check(all[i].target, mutator.mutate(all[i].text));
     }
   }
+  // Value-only mutants of the kit and registry seeds, on a stream of their
+  // own (the mutants above keep their bytes).  Where a seed and its mutant
+  // are both accepted, their key bytes are equal exactly when their texts
+  // are.
+  constexpr std::size_t kValueMutantsPerSeed = 60;
+  std::size_t key_checks = 0, key_misses = 0;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (all[i].target == Target::Request) continue;
+    const std::optional<Written> seed = written(all[i].target, all[i].text);
+    ValueMutator mutator(0x6a736f6eu + i);
+    for (std::size_t m = 0; m < kValueMutantsPerSeed; ++m) {
+      const std::string mutant = mutator.mutate(all[i].text);
+      diff.check(all[i].target, mutant);
+      const std::optional<Written> got = written(all[i].target, mutant);
+      if (!seed || !got) continue;
+      ++key_checks;
+      if ((got->key == seed->key) != (got->json == seed->json) && ++key_misses <= 5) {
+        ADD_FAILURE() << "key and text disagree on whether mutant '" << mutant.substr(0, 300)
+                      << "' equals its seed (texts " << (got->json == seed->json ? "" : "un")
+                      << "equal)";
+      }
+    }
+  }
+  EXPECT_GT(key_checks, 0u);
+  EXPECT_EQ(key_misses, 0u) << "of " << key_checks << " accepted value-only mutants";
   EXPECT_EQ(diff.mismatches(), 0u) << "of " << diff.checked() << " mutants";
   // Every accepted kit and registry mutant is also a fixed point of read and
   // write (some must be accepted for that to mean anything).
